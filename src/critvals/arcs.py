@@ -7,6 +7,13 @@ Laurent polynomial in t whose t^k coefficient is an exact polynomial in the
 a-variables; those coefficients are the raw material for every equation
 system downstream.
 
+Substitution runs on integers: `ArcPowers` clears p's denominators once,
+multiplies and accumulates the coordinate powers x_j(t)^e as integer series
+over packed monomials, and turns a t^k coefficient into a `Poly` only when
+it is read.  One `ArcPowers` serves every substitution of a build, so each
+coordinate power is multiplied out once per system.  `LaurentSeriesOverPoly`
+arithmetic is the Poly-level reference the kernel is tested against.
+
 Indexing: series are stored by ascending t-exponent k; descending-power
 expansions elsewhere put their i-th tail coefficient at k = -i, and the
 constant coefficient c0 always sits at k = 0.
@@ -14,9 +21,11 @@ constant coefficient c0 always sits at k = 0.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterator, Literal, Sequence
 
 from .poly import Poly, Scalar, VarTable
@@ -216,31 +225,113 @@ def arc_coordinate(shape: ArcShape, j: int) -> LaurentSeriesOverPoly:
     return LaurentSeriesOverPoly(table, coeffs, -shape.D2, shape.D1)
 
 
+# t-exponent k -> packed monomial -> integer coefficient (see ArcPowers).
+IntSeries = dict[int, dict[int, int]]
+
+
+def _mul_into(out: IntSeries, a: IntSeries, b: IntSeries, lo: int) -> IntSeries:
+    """out += a*b, keeping only the t^k with k >= lo."""
+    for ka, ta in a.items():
+        for kb, tb in b.items():
+            k = ka + kb
+            if k < lo:
+                continue
+            acc = out.get(k)
+            if acc is None:
+                acc = out[k] = {}
+            for ma, ca in ta.items():
+                for mb, cb in tb.items():
+                    m = ma + mb
+                    acc[m] = acc.get(m, 0) + ca * cb
+    return out
+
+
+class ArcPowers:
+    """Integer series of the coordinate powers x_j(t)^e of one shape.
+
+    A series maps t-exponent k to {packed monomial: integer coefficient}.
+    A packed monomial is one int holding the exponent of a-variable v in
+    bytes [v*w, (v+1)*w) (little-endian), so multiplying monomials is adding
+    ints.  The width w is the smallest of 1, 2, 4, 8 bytes that holds
+    `degree`, which must bound the total degree of every series built here.
+    Each power is computed once and kept for the life of the instance.
+    """
+
+    def __init__(self, shape: ArcShape, degree: int):
+        for width, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")):
+            if degree < 1 << (8 * width):
+                break
+        else:
+            raise ArcError(f"degree {degree} too large for packed monomials")
+        self.shape = shape
+        self.table = shape.var_table()
+        self._nbytes = width * self.table.arity
+        self._unpack = struct.Struct(f"<{self.table.arity}{code}").unpack
+        one: IntSeries = {0: {0: 1}}
+        self._powers: list[list[IntSeries]] = [
+            [
+                one,
+                {
+                    i: {1 << (8 * width * shape.var_index(i, j)): 1}
+                    for i in shape.exponent_range()
+                },
+            ]
+            for j in range(1, shape.n + 1)
+        ]
+
+    def power(self, j: int, e: int) -> IntSeries:
+        """x_{j+1}(t)^e (coordinates indexed from 0, like p's exponents)."""
+        cache = self._powers[j]
+        while len(cache) <= e:
+            full = -len(cache) * self.shape.D2  # lowest t-power of the new power
+            cache.append(_mul_into({}, cache[-1], cache[1], full))
+        return cache[e]
+
+    def series(self, p: Poly, lo: int) -> tuple[IntSeries, int]:
+        """(den * p(x(t)), den) over the t^k with k >= lo, where den is the
+        lcm of p's coefficient denominators."""
+        if p.vars.arity != self.shape.n:
+            raise ArcError(f"polynomial arity {p.vars.arity} does not match shape n={self.shape.n}")
+        den = lcm(*(c.denominator for _, c in p.terms()))
+        D1 = self.shape.D1
+        last = self.shape.n - 1
+        out: IntSeries = {}
+        for mono, coeff in p.terms():
+            acc: IntSeries = {0: {0: coeff.numerator * (den // coeff.denominator)}}
+            reach = sum(mono) * D1  # highest t-power the factors still to come add
+            for j, e in enumerate(mono):
+                reach -= e * D1
+                acc = _mul_into(out if j == last else {}, acc, self.power(j, e), lo - reach)
+        return out, den
+
+    def times_coordinate(self, j: int, s: IntSeries, lo: int) -> IntSeries:
+        """x_{j+1}(t) * s over the t^k with k >= lo."""
+        return _mul_into({}, s, self._powers[j][1], lo)
+
+    def coefficient(self, s: IntSeries, den: int, k: int) -> Poly:
+        """The t^k coefficient of s / den as a Poly over the shape's table."""
+        unpack, nbytes = self._unpack, self._nbytes
+        return Poly(
+            self.table,
+            {unpack(m.to_bytes(nbytes, "little")): Fraction(c, den) for m, c in s.get(k, {}).items()},
+        )
+
+
 def substitute(p: Poly, shape: ArcShape) -> LaurentSeriesOverPoly:
     """Exact composition p(x_1(t), ..., x_n(t)).
 
-    Support is contained in [-deg(p)*D2, deg(p)*D1] and every t^k coefficient
-    is a polynomial of total degree <= deg(p) in the a-variables.  Powers of
-    each coordinate series are memoized, so each is computed once per call.
+    Support is contained in [lo, hi] = [-deg(p)*D2, deg(p)*D1] and every t^k
+    coefficient is a polynomial of total degree <= deg(p) in the
+    a-variables.  Runs on a fresh `ArcPowers`; system builders that
+    substitute several components share one instead.
     """
-    if p.vars.arity != shape.n:
-        raise ArcError(f"polynomial arity {p.vars.arity} does not match shape n={shape.n}")
-    table = shape.var_table()
-    coords = [arc_coordinate(shape, j) for j in range(1, shape.n + 1)]
-    one = LaurentSeriesOverPoly.constant(table, Poly.const(table, 1))
-    powers: list[list[LaurentSeriesOverPoly]] = [[one] for _ in coords]
-
-    def power(j: int, e: int) -> LaurentSeriesOverPoly:
-        cache = powers[j]
-        while len(cache) <= e:
-            cache.append(cache[-1] * coords[j])
-        return cache[e]
-
-    result = LaurentSeriesOverPoly.zero(table)
-    for mono, coeff in p.terms():
-        term = one
-        for j, e in enumerate(mono):
-            if e:
-                term = term * power(j, e)
-        result = result + term.scale(coeff)
-    return result
+    d = max(p.total_degree(), 0)
+    powers = ArcPowers(shape, d)
+    s, den = powers.series(p, -d * shape.D2)
+    coeffs = {k: powers.coefficient(s, den, k) for k in sorted(s)}
+    return LaurentSeriesOverPoly(
+        shape.var_table(),
+        {k: c for k, c in coeffs.items() if not c.is_zero()},
+        -d * shape.D2,
+        d * shape.D1,
+    )

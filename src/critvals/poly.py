@@ -230,21 +230,6 @@ class Poly:
             total += term
         return total
 
-    def substitute_values(self, assignment: dict[int, Scalar]) -> "Poly":
-        """Replace the given variables by rational constants; exact."""
-        out = Poly.zero(self.vars)
-        for mono, coeff in self._terms.items():
-            c = coeff
-            new = list(mono)
-            for i, v in assignment.items():
-                e = mono[i]
-                if e:
-                    c *= Fraction(v) ** e
-                    new[i] = 0
-            if c:
-                out = out + Poly(self.vars, {tuple(new): c})
-        return out
-
     # ---- comparison & hashing ----
 
     def __eq__(self, other: object) -> bool:

@@ -17,6 +17,11 @@ Generator families, with s_g the substituted series of component g:
             sum; real: sum of squares)
 Identically zero coefficients are omitted.  c0 is the t^0 coefficient of
 s_f; it is data, not a generator.
+
+Substitution is a ring homomorphism, so s_{h_ij} = x_i(t) * s_{df/dx_j}:
+the e-family is read off that product of already-substituted series, not
+substituted afresh.  Every component of one build shares one `ArcPowers`
+coordinate-power cache, and only the t-powers a family reads are built.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from .arcs import ArcShape, substitute
+from .arcs import ArcPowers, ArcShape
 from .poly import Poly, VarTable
 
 Mode = Literal["BV", "GBV", "AVmap"]
@@ -112,29 +117,31 @@ def build_system(f: Poly, shape: ArcShape, mode: Mode) -> EquationSystem:
         raise SystemError("normalized systems need D1 >= 1 (the arc must escape)")
     phi = build_phi(f)
     d = f.total_degree()
+    powers = ArcPowers(shape, d)
     gens: list[Poly] = []
     tags: list[GeneratorTag] = []
 
-    s_f = substitute(f, shape)
+    s_f, den_f = powers.series(f, 0)
     for k in range(1, d * shape.D1 + 1):
-        c = s_f.coefficient_at(k)
+        c = powers.coefficient(s_f, den_f, k)
         if not c.is_zero():
             gens.append(c)
             tags.append(GeneratorTag("c", (k,)))
 
-    for i, grad in enumerate(phi.grads, start=1):
-        s = substitute(grad, shape)
+    # t-powers down to -D1 feed the e-family's k >= 0 through x_i(t).
+    s_grads = [powers.series(grad, -shape.D1) for grad in phi.grads]
+    for i, (s, den) in enumerate(s_grads, start=1):
         for k in range(0, (d - 1) * shape.D1 + 1):
-            c = s.coefficient_at(k)
+            c = powers.coefficient(s, den, k)
             if not c.is_zero():
                 gens.append(c)
                 tags.append(GeneratorTag("d", (i, k)))
 
     for i in range(1, phi.n + 1):
-        for j in range(1, phi.n + 1):
-            s = substitute(phi.hs[i - 1][j - 1], shape)
+        for j, (s_grad, den) in enumerate(s_grads, start=1):
+            s = powers.times_coordinate(i - 1, s_grad, 0)
             for k in range(0, d * shape.D1 + 1):
-                c = s.coefficient_at(k)
+                c = powers.coefficient(s, den, k)
                 if not c.is_zero():
                     gens.append(c)
                     tags.append(GeneratorTag("e", (i, j, k)))
@@ -146,7 +153,7 @@ def build_system(f: Poly, shape: ArcShape, mode: Mode) -> EquationSystem:
     return EquationSystem(
         shape=shape,
         generators=tuple(gens),
-        c0=(s_f.coefficient_at(0),),
+        c0=(powers.coefficient(s_f, den_f, 0),),
         mode=mode,
         field=shape.field,
         provenance=tuple(tags),
@@ -169,14 +176,15 @@ def build_av_system(
     gens: list[Poly] = []
     tags: list[GeneratorTag] = []
     c0: list[Poly] = []
+    powers = ArcPowers(shape, max(max(p.total_degree() for p in F), 0))
     for l, p in enumerate(F, start=1):
-        s = substitute(p, shape)
+        s, den = powers.series(p, 0)
         for k in range(1, max(p.total_degree(), 0) * shape.D1 + 1):
-            c = s.coefficient_at(k)
+            c = powers.coefficient(s, den, k)
             if not c.is_zero():
                 gens.append(c)
                 tags.append(GeneratorTag("c", (l, k)))
-        c0.append(s.coefficient_at(0))
+        c0.append(powers.coefficient(s, den, 0))
     if not generalized:
         gens.append(normalization_poly(shape))
         tags.append(GeneratorTag("norm", ()))
@@ -189,13 +197,3 @@ def build_av_system(
         provenance=tuple(tags),
     )
 
-
-def sum_of_squares(sys: EquationSystem) -> Poly:
-    """G = sum of squared generators; real-field systems only."""
-    if sys.field != "real":
-        raise SystemError("sum of squares is the real pipeline's aggregate")
-    table = sys.shape.var_table()
-    acc = Poly.zero(table)
-    for g in sys.generators:
-        acc = acc + g * g
-    return acc

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from critvals.arcs import (
     ArcError,
+    ArcPowers,
     ArcShape,
     LaurentSeriesOverPoly,
     arc_coordinate,
@@ -15,7 +16,7 @@ from critvals.arcs import (
     paper_bounds_real,
     substitute,
 )
-from critvals.poly import Poly, VarTable, parse_poly
+from critvals.poly import Poly, VarTable, parse_poly, serialize_poly
 
 XY = VarTable(("x", "y"))
 X = VarTable(("x",))
@@ -219,3 +220,81 @@ def test_numeric_consistency(p, shape, raw, t):
             )
         )
     assert substitute(p, shape).eval_exact(a, t) == p.eval_exact(x)
+
+
+def reference_substitute(p, shape):
+    """p(x(t)) as a sum of scaled products of `arc_coordinate` series, in
+    `LaurentSeriesOverPoly` arithmetic: the Poly-level reference."""
+    table = shape.var_table()
+    coords = [arc_coordinate(shape, j) for j in range(1, shape.n + 1)]
+    one = LaurentSeriesOverPoly.constant(table, Poly.const(table, 1))
+    result = LaurentSeriesOverPoly.zero(table)
+    for mono, coeff in p.terms():
+        term = one
+        for x, e in zip(coords, mono):
+            for _ in range(e):
+                term = term * x
+        result = result + term.scale(coeff)
+    return result
+
+
+TABLES = {1: X, 2: XY, 3: VarTable(("x", "y", "z"))}
+rational_coeffs = st.builds(
+    Fraction,
+    st.integers(min_value=-9, max_value=9).filter(bool),
+    st.integers(min_value=2, max_value=7),
+)
+
+
+@st.composite
+def poly_and_shape(draw, kinds=("zero", "constant", "general")):
+    n = draw(st.sampled_from([1, 2, 3]))
+    table = TABLES[n]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zero":
+        p = Poly.zero(table)
+    elif kind == "constant":
+        p = Poly.const(table, draw(rational_coeffs | small_fractions))
+    else:
+        terms = {}
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            mono = tuple(draw(st.integers(min_value=0, max_value=3)) for _ in range(n))
+            if sum(mono) <= 4:
+                terms[mono] = draw(rational_coeffs | small_fractions)
+        p = Poly(table, terms)
+    shape = ArcShape(
+        n=n,
+        D1=draw(st.integers(min_value=0, max_value=2)),
+        D2=draw(st.integers(min_value=0, max_value=2)),
+    )
+    return p, shape
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_and_shape())
+def test_substitute_matches_poly_level_reference(case):
+    p, shape = case
+    got, want = substitute(p, shape), reference_substitute(p, shape)
+    assert got.coeffs == want.coeffs
+    assert got.support() == want.support()
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+    for k in want.support():
+        assert serialize_poly(got.coefficient_at(k)) == serialize_poly(want.coefficient_at(k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_and_shape(kinds=("general",)), st.integers(min_value=-2, max_value=2), st.data())
+def test_truncated_series_and_coordinate_products(case, lo, data):
+    # ArcPowers.series(p, lo) and x_i(t) * series are the t^k >= lo part of
+    # the full substitutions of p and x_i * p.
+    p, shape = case
+    i = data.draw(st.integers(min_value=0, max_value=shape.n - 1))
+    powers = ArcPowers(shape, max(p.total_degree() + 1, 0))
+    s, den = powers.series(p, lo)
+    xp = substitute(Poly.variable(p.vars, i) * p, shape)
+    full = substitute(p, shape)
+    h = powers.times_coordinate(i, s, lo + shape.D1)
+    for k in range(lo, full.hi + 1):
+        assert powers.coefficient(s, den, k) == full.coefficient_at(k)
+    for k in range(lo + shape.D1, xp.hi + 1):
+        assert powers.coefficient(h, den, k) == xp.coefficient_at(k)

@@ -255,3 +255,13 @@ def test_guard_refusal_exception_type():
     cfg = RunConfig(value_set="kinf", paper_bounds=True, field="real", arc_var_ceiling=64)
     with pytest.raises(GuardRefusal):
         run(cfg, "x + x^2*y")
+
+
+def test_package_main_runs_without_warning():
+    proc = subprocess.run(
+        [sys.executable, "-m", "critvals", "x^3 - 3*x", "--set", "k0", "--json"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["results"]["k0"]["eliminant"] == "y^2 - 4"

@@ -105,11 +105,6 @@ class TestArithmetic:
         assert p.eval_exact((1, 2)) == 3
         assert p.eval_exact((Fraction(1, 2), Fraction(1, 3))) == Fraction(1, 2) + Fraction(1, 12)
 
-    def test_substitute_values(self):
-        p = P("x^2*y + y^2 + x")
-        q = p.substitute_values({0: Fraction(2)})
-        assert q == P("y^2 + 4*y + 2")
-
     def test_negative_power_rejected(self):
         with pytest.raises(PolyError):
             P("x") ** -1

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from critvals.arcs import ArcShape, substitute
 from critvals.poly import Poly, VarTable, parse_poly
 from critvals.systems import (
-    EquationSystem,
     SystemError,
     build_av_system,
     build_phi,
     build_system,
     normalization_poly,
-    sum_of_squares,
 )
 
 XY = VarTable(("x", "y"))
@@ -161,34 +159,6 @@ class TestAvSystem:
     def test_empty_map_rejected(self):
         with pytest.raises(SystemError):
             build_av_system([], ArcShape(n=1, D1=1, D2=1))
-
-
-class TestSumOfSquares:
-    def test_direct_formula(self):
-        shape = ArcShape(n=1, D1=1, D2=0, field="real")
-        t = shape.var_table()
-        sys = EquationSystem(
-            shape=shape,
-            generators=(parse_poly("a[1][1] - 1", t), parse_poly("a[0][1]", t)),
-            c0=(Poly.zero(t),),
-            mode="GBV",
-            field="real",
-            provenance=build_av_system([P("x", X)], ArcShape(n=1, D1=1, D2=0, field="real")).provenance[:2],
-        )
-        g = sum_of_squares(sys)
-        assert g == parse_poly("(a[1][1] - 1)^2 + a[0][1]^2", t)
-
-    def test_vanishes_on_common_zeros(self):
-        shape = ArcShape(n=2, D1=1, D2=1, field="real")
-        sys = build_system(P("x + x^2*y"), shape, "BV")
-        G = sum_of_squares(sys)
-        a = witness_vector(shape, {(-1, 1): Fraction(-1, 2), (1, 2): 1})
-        assert G.eval_exact(a) == 0
-
-    def test_complex_rejected(self):
-        sys = build_system(P("x + x^2*y"), ArcShape(n=2, D1=1, D2=1), "BV")
-        with pytest.raises(SystemError):
-            sum_of_squares(sys)
 
 
 # ---- evaluation soundness: generators match an independent expansion ----
