@@ -1,8 +1,10 @@
 """Numeric adjunct: real-candidate certification and the Malgrange probe.
 
 All floating point in the package lives here.  Upstream everything is
-exact; this module takes exact systems, compiles them to float evaluators,
-and runs seeded multi-start local minimization:
+exact; this module compiles each exact system once into one monomial table
+(`CompiledSystem`: the monomials of every polynomial and of every first
+partial, with value and Jacobian coefficient matrices over them), and runs
+seeded multi-start local minimization on it:
 
   certify_real    minimizes sum of squared generators plus the pin
                   (c0(a) - y)^2 over the real arc coefficients; a final
@@ -35,10 +37,8 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .arcs import ArcShape
-from .poly import Poly, Scalar
-from .systems import build_system
-
-Mode = Literal["BV", "GBV"]
+from .poly import Exponent, Poly, Scalar
+from .systems import EquationSystem, Mode, build_system
 
 
 class CertifyError(Exception):
@@ -105,34 +105,77 @@ class ProbeTrace:
 # ---- float compilation of exact polynomials ----
 
 
-class CompiledPoly:
-    """Term-table evaluator for one Poly: works on real or complex vectors."""
+class CompiledSystem:
+    """Float evaluator of polynomials p_1..p_m and all their first partials.
 
-    __slots__ = ("monos", "coeffs", "arity")
+    One exponent matrix (U x n) lists every monomial of every p_i and of
+    every dp_i/dx_j once.  The value coefficients form an m x U matrix and
+    the Jacobian coefficients an (m*n) x U matrix, row i*n + j holding
+    dp_i/dx_j.  An evaluation forms the monomial vector once and reads the
+    values, or the Jacobian, off it with one matrix-vector product; x may be
+    real or complex."""
 
-    def __init__(self, p: Poly):
-        monos = []
-        coeffs = []
-        for mono, coeff in p.terms():
-            monos.append(mono)
-            coeffs.append(float(coeff))
-        self.arity = p.vars.arity
-        self.monos = np.array(monos, dtype=np.int64).reshape(len(monos), self.arity)
-        self.coeffs = np.array(coeffs, dtype=np.float64)
+    __slots__ = ("size", "arity", "exponents", "value_coeffs", "jacobian_coeffs")
 
-    def __call__(self, x: np.ndarray):
-        if not len(self.coeffs):
-            return x.dtype.type(0) if np.iscomplexobj(x) else 0.0
-        return np.prod(x[None, :] ** self.monos, axis=1) @ self.coeffs
+    def __init__(self, polys: Sequence[Poly]):
+        if not polys:
+            raise CertifyError("a compiled system needs at least one polynomial")
+        table = polys[0].vars
+        n = table.arity
+        columns: dict[Exponent, int] = {}
+        value_terms: list[tuple[int, int, float]] = []
+        jacobian_terms: list[tuple[int, int, float]] = []
+        for i, p in enumerate(polys):
+            if p.vars != table:
+                raise CertifyError("compiled polynomials must share one variable table")
+            for mono, coeff in p.terms():
+                value_terms.append((i, columns.setdefault(mono, len(columns)), float(coeff)))
+                for j, e in enumerate(mono):
+                    if e:
+                        dmono = mono[:j] + (e - 1,) + mono[j + 1 :]
+                        col = columns.setdefault(dmono, len(columns))
+                        jacobian_terms.append((i * n + j, col, float(coeff * e)))
+        self.size = len(polys)
+        self.arity = n
+        self.exponents = np.array(list(columns), dtype=np.int64).reshape(len(columns), n)
+        self.value_coeffs = _dense(value_terms, (self.size, len(columns)))
+        self.jacobian_coeffs = _dense(jacobian_terms, (self.size * n, len(columns)))
+
+    def monomials(self, x: np.ndarray) -> np.ndarray:
+        return np.prod(x**self.exponents, axis=1)
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return self.value_coeffs @ self.monomials(x)
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        return (self.jacobian_coeffs @ self.monomials(x)).reshape(self.size, self.arity)
 
 
-def _compile_with_jacobian(polys: Sequence[Poly]) -> tuple[list[CompiledPoly], list[list[CompiledPoly]]]:
-    vals = [CompiledPoly(p) for p in polys]
-    jac = [
-        [CompiledPoly(p.partial_derivative(j)) for j in range(p.vars.arity)]
-        for p in polys
-    ]
-    return vals, jac
+def _dense(terms: list[tuple[int, int, float]], shape: tuple[int, int]) -> np.ndarray:
+    out = np.zeros(shape)
+    for row, col, coeff in terms:
+        out[row, col] = coeff
+    return out
+
+
+def compile_arc_system(sys: EquationSystem) -> CompiledSystem:
+    """The certifier's form of a real BV/GBV system: its generators, then
+    c0 as the pin in the last row."""
+    _require_arc_mode(sys.mode)
+    if sys.field != "real":
+        raise CertifyError("certification runs on real-field shapes")
+    return CompiledSystem((*sys.generators, sys.c0[0]))
+
+
+def compile_critical_point_system(f: Poly) -> CompiledSystem:
+    """The nonzero gradient components of f, then f itself as the pin."""
+    partials = (f.partial_derivative(j) for j in range(f.vars.arity))
+    return CompiledSystem([*(g for g in partials if not g.is_zero()), f])
+
+
+def _require_arc_mode(mode: Mode) -> None:
+    if mode not in ("BV", "GBV"):
+        raise CertifyError(f"arc systems to certify are BV or GBV, got {mode!r}")
 
 
 # ---- Levenberg-Marquardt core ----
@@ -161,11 +204,13 @@ def _levenberg_marquardt(
         g = J.T @ r
         if np.linalg.norm(g) < 1e-16 * (1 + cost):
             break
-        JtJ = J.T @ J
+        damped = J.T @ J
+        diagonal = damped.diagonal().copy()
         improved = False
         for _ in range(25):
+            damped.flat[:: len(x) + 1] = diagonal + lam
             try:
-                step = np.linalg.solve(JtJ + lam * np.eye(len(x)), -g)
+                step = np.linalg.solve(damped, -g)
             except np.linalg.LinAlgError:
                 lam *= 10
                 continue
@@ -193,6 +238,7 @@ def _levenberg_marquardt(
 def verify_arc(f: Poly, shape: ArcShape, a: Sequence[Scalar], mode: Mode) -> bool:
     """Exact test: does the rational a-vector satisfy every generator of
     the shape's system for f?"""
+    _require_arc_mode(mode)
     if len(a) != shape.num_vars:
         raise CertifyError(
             f"a-vector has {len(a)} entries, shape needs {shape.num_vars}"
@@ -206,52 +252,42 @@ def verify_arc(f: Poly, shape: ArcShape, a: Sequence[Scalar], mode: Mode) -> boo
 
 
 def certify_zero(
-    generators: Sequence[Poly],
-    pin: Poly,
+    system: CompiledSystem,
     y: float,
     cfg: CertifyConfig,
 ) -> CertificationOutcome:
     """Search for a real common zero of the generators with pin = y.
 
-    Multi-start Levenberg-Marquardt on the stacked residual vector
-    (g_1..g_m, pin - y); the reported residual is max|g_alpha| + |pin - y|
-    at the best point.  Confirms, never refutes."""
-    nv = generators[0].vars.arity if generators else pin.vars.arity
-    gen_vals, gen_jac = _compile_with_jacobian(list(generators) + [pin])
-    pin_val = gen_vals[-1]
+    `system` holds the generators g_1..g_m and, in its last row, the pin
+    (see `compile_arc_system`, `compile_critical_point_system`), so one
+    compiled system serves every target y.  Multi-start Levenberg-Marquardt
+    on the stacked residual vector (g_1..g_m, pin - y); the reported
+    residual is max|g_alpha| + |pin - y| at the best point.  Confirms,
+    never refutes."""
+    target = np.zeros(system.size)
+    target[-1] = y
 
     def residual(x: np.ndarray) -> np.ndarray:
-        out = np.empty(len(gen_vals))
-        for i, g in enumerate(gen_vals):
-            out[i] = g(x)
-        out[-1] -= y
-        return out
-
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        J = np.empty((len(gen_vals), nv))
-        for i, row in enumerate(gen_jac):
-            for j, d in enumerate(row):
-                J[i, j] = d(x)
-        return J
+        return system.values(x) - target
 
     def metric(x: np.ndarray) -> float:
-        gmax = max((abs(float(g(x))) for g in gen_vals[:-1]), default=0.0)
-        return gmax + abs(float(pin_val(x)) - y)
+        v = system.values(x)
+        return float(np.max(np.abs(v[:-1]), initial=0.0)) + abs(float(v[-1]) - y)
 
     rng = np.random.default_rng(cfg.seed)
     best_x: np.ndarray | None = None
     best_res = math.inf
     scales = (0.5, 1.0, 2.0, 4.0)
     for restart in range(cfg.restarts):
-        x0 = rng.normal(size=nv) * scales[restart % len(scales)]
-        x = _levenberg_marquardt(residual, jacobian, x0, cfg.max_iters)
+        x0 = rng.normal(size=system.arity) * scales[restart % len(scales)]
+        x = _levenberg_marquardt(residual, system.jacobian, x0, cfg.max_iters)
         res = metric(x)
         if res < best_res:
             best_res, best_x = res, x
 
     if best_x is not None and best_res < cfg.tolerance:
         # refinement check: one extra damped-Newton pass may not worsen it
-        polished = _levenberg_marquardt(residual, jacobian, best_x, 1)
+        polished = _levenberg_marquardt(residual, system.jacobian, best_x, 1)
         if metric(polished) <= best_res:
             best_x, best_res = polished, metric(polished)
         return CertificationOutcome(
@@ -271,12 +307,14 @@ def certify_real(
     """Is the real value y attained by a real arc of this shape?
 
     Minimizes G(a) + (c0(a) - y)^2 where G is the sum of squared system
-    generators; CertifiedReal iff the final residual is below tolerance."""
+    generators; CertifiedReal iff the final residual is below tolerance.
+    Builds and compiles the system for this one call; to certify several
+    values, compile once with `compile_arc_system` and call `certify_zero`."""
+    _require_arc_mode(mode)
     if shape.field != "real":
         raise CertifyError("certification runs on real-field shapes")
-    cfg = cfg or CertifyConfig()
-    sys = build_system(f, shape, mode)
-    return certify_zero(sys.generators, sys.c0[0], y, cfg)
+    system = compile_arc_system(build_system(f, shape, mode))
+    return certify_zero(system, y, cfg or CertifyConfig())
 
 
 def certify_critical_point(
@@ -284,13 +322,7 @@ def certify_critical_point(
 ) -> CertificationOutcome:
     """Is y attained at a real critical point?  Same search with the
     gradient components as generators and f itself as the pin."""
-    cfg = cfg or CertifyConfig()
-    grads = [
-        f.partial_derivative(j)
-        for j in range(f.vars.arity)
-        if not f.partial_derivative(j).is_zero()
-    ]
-    return certify_zero(grads, f, y, cfg)
+    return certify_zero(compile_critical_point_system(f), y, cfg or CertifyConfig())
 
 
 # ---- Malgrange probe ----
@@ -327,17 +359,17 @@ def malgrange_probe(
     is_complex = field == "complex"
     k = 2 * n if is_complex else n  # real search dimension
 
-    grads = [f.partial_derivative(j) for j in range(n)]
-    c_f = CompiledPoly(f)
-    c_grads = [CompiledPoly(g) for g in grads]
-    c_hess = [[CompiledPoly(g.partial_derivative(j)) for j in range(n)] for g in grads]
+    # rows: the gradient, then f; the Jacobian's rows are the Hessian rows
+    # and the gradient row
+    system = CompiledSystem([*(f.partial_derivative(j) for j in range(n)), f])
+    target = np.zeros(n + 1, dtype=complex if is_complex else float)
+    target[-1] = y
 
     def point(u: np.ndarray) -> np.ndarray:
         return _complex_view(u, n) if is_complex else u
 
-    def split(z) -> np.ndarray:
-        arr = np.asarray(z)
-        return np.concatenate([arr.real, arr.imag]) if is_complex else arr.real
+    def split(z: np.ndarray) -> np.ndarray:
+        return np.concatenate([z.real, z.imag]) if is_complex else z
 
     rows: list[ProbeRow] = []
     rng = np.random.default_rng(cfg.seed)
@@ -345,28 +377,20 @@ def malgrange_probe(
 
     for radius in radii:
         floor = cfg.floor_scale / max(1.0, radius)
+        # radius * grad f and f - y: the gradient rows carry the radius
+        scale = np.array([radius] * n + [1.0])
 
         def residual(u: np.ndarray) -> np.ndarray:
-            x = point(u)
-            parts = [radius * g(x) for g in c_grads] + [c_f(x) - y]
-            return np.concatenate([split(np.array(parts))]) if is_complex else np.array(
-                [float(p) for p in parts]
-            )
+            return split(system.values(point(u)) * scale - target)
 
         def jacobian(u: np.ndarray) -> np.ndarray:
-            x = point(u)
-            # complex rows: d(g_l)/du_j = g_l', d/dv_j = i*g_l' (holomorphy)
-            rows_c = []
-            for l in range(n):
-                row = np.array([radius * c_hess[l][j](x) for j in range(n)])
-                rows_c.append(row)
-            rows_c.append(np.array([c_grads[j](x) for j in range(n)]))
-            J_c = np.vstack(rows_c)
+            J_c = system.jacobian(point(u)) * scale[:, None]
             if is_complex:
+                # d(g_l)/du_j = g_l', d/dv_j = i*g_l' (holomorphy)
                 top = np.hstack([J_c.real, -J_c.imag])
                 bot = np.hstack([J_c.imag, J_c.real])
                 return np.vstack([top, bot])
-            return J_c.real
+            return J_c
 
         def project(u: np.ndarray) -> np.ndarray:
             norm = np.linalg.norm(u)
@@ -381,9 +405,9 @@ def malgrange_probe(
             return J - np.outer(J @ uhat, uhat)
 
         def metric(u: np.ndarray) -> tuple[float, float]:
-            x = point(u)
-            gn = math.sqrt(sum(abs(g(x)) ** 2 for g in c_grads))
-            miss = abs(c_f(x) - y)
+            v = system.values(point(u))
+            gn = math.sqrt(float(np.sum(np.abs(v[:n]) ** 2)))
+            miss = abs(v[-1] - y)
             return max(radius * gn, miss), miss
 
         starts: list[np.ndarray] = []

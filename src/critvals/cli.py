@@ -21,8 +21,9 @@ from .certify import (
     CertificationOutcome,
     CertifyConfig,
     CertifyError,
-    certify_critical_point,
-    certify_real,
+    compile_arc_system,
+    compile_critical_point_system,
+    certify_zero,
 )
 from .groebner import GroebnerError, LimitExceeded, ResourceLimits
 from .poly import ParseError, Poly, PolyError, VarTable, _tokenize, parse_poly, serialize_poly
@@ -41,8 +42,8 @@ from .solve import (
     compute_kinf,
     compute_sF,
 )
-from .systems import SystemError, build_av_system, build_system
-from .univariate import UnivariateError, refine_interval
+from .systems import EquationSystem, SystemError, build_av_system, build_system
+from .univariate import RootInterval, UnivariateError, refine_interval
 
 LIMITS_ENV_VAR = "CRITVALS_LIMITS"
 VALUE_SETS = ("k0", "kinf", "k", "sf", "all")
@@ -146,27 +147,26 @@ def _build_shape(cfg: RunConfig, n: int, d: int) -> ArcShape:
 
 
 def _certify_real_roots(
-    cfg: RunConfig, name: str, f: Poly, shape: ArcShape | None, result
+    cfg: RunConfig, f: Poly, arc_system: EquationSystem | None, refined: list[RootInterval]
 ) -> list[CertificationOutcome]:
+    """Certify each refined real root against one compiled system: the arc
+    system of K_inf/K, or f's critical-point system for K0 (no arc system)."""
+    if not refined:
+        return []
     cert_cfg = CertifyConfig(
         tolerance=cfg.certifier.tolerance,
         restarts=cfg.certifier.restarts,
         max_iters=cfg.certifier.max_iters,
         seed=cfg.seed,
     )
-    outcomes = []
-    for root in result.real_roots:
-        y = refine_interval(result.eliminant, root, REPORT_INTERVAL_WIDTH).approx()
-        if name == "k0":
-            outcomes.append(certify_critical_point(f, y, cert_cfg))
-        else:
-            assert shape is not None
-            mode = "BV" if name == "kinf" else "GBV"
-            outcomes.append(certify_real(f, shape, y, cert_cfg, mode=mode))
-    return outcomes
+    if arc_system is None:
+        system = compile_critical_point_system(f)
+    else:
+        system = compile_arc_system(arc_system)
+    return [certify_zero(system, interval.approx(), cert_cfg) for interval in refined]
 
 
-def _dump_arc_system(sys_obj) -> dict[str, Any]:
+def _dump_arc_system(sys_obj: EquationSystem) -> dict[str, Any]:
     table = sys_obj.shape.var_table()
     return {
         "mode": sys_obj.mode,
@@ -221,15 +221,20 @@ def run(cfg: RunConfig, text: str) -> CriticalValueReport:
             else:
                 assert shape is not None
                 result = compute_k(f, shape, cfg.limits)
-            certs = None
-            if cfg.field == "real":
-                certs = _certify_real_roots(cfg, name, f, shape, result)
-            value_sets.append(build_value_set_report(name, result, certs))
-            timings[name] = int(1000 * (time.perf_counter() - t0))
-            if cfg.dump_system and name in ("kinf", "k"):
+            refined = [
+                refine_interval(result.eliminant, root, REPORT_INTERVAL_WIDTH)
+                for root in result.real_roots
+            ]
+            real_field = cfg.field == "real"
+            arc_system = None
+            if name != "k0" and (cfg.dump_system or (real_field and refined)):
                 assert shape is not None
-                mode = "BV" if name == "kinf" else "GBV"
-                dumps[name] = _dump_arc_system(build_system(f, shape, mode))
+                arc_system = build_system(f, shape, "BV" if name == "kinf" else "GBV")
+            certs = _certify_real_roots(cfg, f, arc_system, refined) if real_field else None
+            value_sets.append(build_value_set_report(name, result, refined, certs))
+            timings[name] = int(1000 * (time.perf_counter() - t0))
+            if cfg.dump_system and arc_system is not None:
+                dumps[name] = _dump_arc_system(arc_system)
 
     config_echo: dict[str, Any] = {
         "field": cfg.field,

@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Sequence
 
 from .certify import CertificationOutcome
 from .solve import Diagnostics, SFResult, UnivariateResult
 from .poly import serialize_poly
-from .univariate import refine_interval
+from .univariate import RootInterval
 
 REPORT_INTERVAL_WIDTH = Fraction(1, 10**12)
 
@@ -147,16 +147,17 @@ def _value_set_dict(vs: ValueSetReport) -> dict[str, Any]:
 def build_value_set_report(
     name: str,
     result: UnivariateResult,
+    refined_roots: Sequence[RootInterval],
     certifications: list[CertificationOutcome] | None = None,
 ) -> ValueSetReport:
-    """Package a solver result; certifications (real runs) pair with the
-    real roots in ascending order."""
+    """Package a solver result.  `refined_roots` are its real roots refined
+    to REPORT_INTERVAL_WIDTH; certifications (real runs) pair with them in
+    ascending order."""
     reals = []
     headline: list[float] | None = None
     if certifications is not None:
         headline = []
-    for idx, root in enumerate(result.real_roots):
-        refined = refine_interval(result.eliminant, root, REPORT_INTERVAL_WIDTH)
+    for idx, refined in enumerate(refined_roots):
         cert = certifications[idx] if certifications is not None else None
         entry = RealRootEntry(
             interval_lo=str(refined.lo),

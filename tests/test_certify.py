@@ -2,10 +2,14 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critvals.arcs import ArcShape
 from critvals.certify import (
+    CompiledSystem,
     CertifyConfig,
     CertifyError,
     ProbeConfig,
@@ -13,10 +17,13 @@ from critvals.certify import (
     ProbeRow,
     certify_critical_point,
     certify_real,
+    certify_zero,
+    compile_critical_point_system,
     malgrange_probe,
     verify_arc,
 )
-from critvals.poly import VarTable, parse_poly
+from critvals.cli import RunConfig, run
+from critvals.poly import Poly, VarTable, parse_poly
 
 XY = VarTable(("x", "y"))
 X = VarTable(("x",))
@@ -52,6 +59,10 @@ class TestVerifyArc:
         with pytest.raises(CertifyError):
             verify_arc(BROUGHTON, ArcShape(n=2, D1=1, D2=1), [0] * 5, "BV")
 
+    def test_map_mode_rejected(self):
+        with pytest.raises(CertifyError):
+            verify_arc(BROUGHTON, ArcShape(n=2, D1=1, D2=1), [0] * 6, "AVmap")
+
 
 class TestCertifyReal:
     def test_broughton_zero_certified(self):
@@ -76,6 +87,10 @@ class TestCertifyReal:
     def test_complex_shape_rejected(self):
         with pytest.raises(CertifyError):
             certify_real(BROUGHTON, ArcShape(n=2, D1=1, D2=1), 0.0)
+
+    def test_map_mode_rejected(self):
+        with pytest.raises(CertifyError):
+            certify_real(BROUGHTON, ArcShape(n=2, D1=1, D2=1, field="real"), 0.0, mode="AVmap")
 
     def test_deterministic_for_fixed_seed(self):
         shape = ArcShape(n=2, D1=1, D2=1, field="real")
@@ -103,6 +118,145 @@ class TestCertifyCriticalPoint:
 
     def test_no_critical_points(self):
         assert not certify_critical_point(BROUGHTON, 0.0, CertifyConfig(restarts=4)).certified
+
+
+# ---- the compiled system against exact evaluation ----
+
+
+def _exact_value(p: Poly, point: list[tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction, Fraction]:
+    """p at a Gaussian-rational point: (re, im, sum of |term| bounds)."""
+    re_total, im_total, scale = Fraction(0), Fraction(0), Fraction(0)
+    for mono, coeff in p.terms():
+        re, im = coeff, Fraction(0)
+        bound = abs(coeff)
+        for (a, b), e in zip(point, mono):
+            for _ in range(e):
+                re, im = re * a - im * b, re * b + im * a
+                bound *= abs(a) + abs(b)
+        re_total, im_total, scale = re_total + re, im_total + im, scale + bound
+    return re_total, im_total, scale
+
+
+def _assert_close(got: complex, p: Poly, point) -> None:
+    re, im, scale = _exact_value(p, point)
+    tol = 1e-9 * max(1.0, float(scale))
+    assert abs(got.real - float(re)) <= tol
+    assert abs(got.imag - float(im)) <= tol
+
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+@st.composite
+def compiled_cases(draw):
+    """Polynomials over one table (zero, constant, missing a variable, or
+    general), possibly no generators before the pin, and a point."""
+    n = draw(st.integers(1, 3))
+    table = VarTable(tuple(f"x{i}" for i in range(n)))
+
+    def poly():
+        kind = draw(st.sampled_from(("zero", "constant", "missing", "general")))
+        if kind == "zero":
+            return Poly.zero(table)
+        if kind == "constant":
+            return Poly.const(table, draw(rationals))
+        missing = draw(st.integers(0, n - 1)) if kind == "missing" else None
+        terms = {}
+        for _ in range(draw(st.integers(1, 5))):
+            mono = tuple(
+                0 if j == missing else draw(st.integers(0, 3)) for j in range(n)
+            )
+            terms[mono] = draw(rationals)
+        return Poly(table, terms)
+
+    generators = [poly() for _ in range(draw(st.integers(0, 3)))]
+    polys = [*generators, poly()]
+    complex_point = draw(st.booleans())
+    point = [
+        (draw(rationals), draw(rationals) if complex_point else Fraction(0))
+        for _ in range(n)
+    ]
+    return polys, point, complex_point
+
+
+@settings(max_examples=80, deadline=None)
+@given(compiled_cases())
+def test_compiled_system_matches_exact_evaluation(case):
+    polys, point, complex_point = case
+    system = CompiledSystem(polys)
+    if complex_point:
+        x = np.array([complex(float(a), float(b)) for a, b in point])
+    else:
+        x = np.array([float(a) for a, _ in point])
+    values = system.values(x)
+    jacobian = system.jacobian(x)
+    assert values.shape == (len(polys),)
+    assert jacobian.shape == (len(polys), len(point))
+    assert np.iscomplexobj(values) == complex_point
+    for i, p in enumerate(polys):
+        _assert_close(complex(values[i]), p, point)
+        for j in range(len(point)):
+            _assert_close(complex(jacobian[i, j]), p.partial_derivative(j), point)
+
+
+class TestCompiledSystem:
+    def test_pin_only_system_certifies(self):
+        # no generators: only the pin x^2 = 4 has to hold
+        system = CompiledSystem([parse_poly("x^2", X)])
+        out = certify_zero(system, 4.0, CertifyConfig(restarts=4))
+        assert out.certified
+        assert abs(out.witness[0]) == pytest.approx(2.0)
+
+    def test_one_system_serves_every_target(self):
+        system = compile_critical_point_system(parse_poly("x^3 - 3*x", X))
+        assert certify_zero(system, 2.0, CertifyConfig()).certified
+        assert certify_zero(system, -2.0, CertifyConfig()).certified
+        assert not certify_zero(system, 0.5, CertifyConfig()).certified
+
+    def test_rejects_mixed_tables_and_empty_input(self):
+        with pytest.raises(CertifyError):
+            CompiledSystem([BROUGHTON, parse_poly("x", X)])
+        with pytest.raises(CertifyError):
+            CompiledSystem([])
+
+
+class TestRealRunsAtDefaultCertifier:
+    """Statuses and headline real sets of real runs at the default
+    certifier (32 restarts x 200 iterations, seed 0)."""
+
+    def outcome(self, text, value_set, bounds=None, variables=("x", "y")):
+        cfg = RunConfig(field="real", value_set=value_set, bounds=bounds, variables=variables)
+        return {
+            vs.name: (
+                [r.certification for r in vs.real_roots],
+                list(vs.headline_real),
+            )
+            for vs in run(cfg, text).value_sets
+        }
+
+    def test_broughton_all_1_1(self):
+        assert self.outcome("x + x^2*y", "all", (1, 1)) == {
+            "k0": ([], []),
+            "kinf": (["CertifiedReal"], [0.0]),
+            "k": (["CertifiedReal"], [0.0]),
+        }
+
+    def test_broughton_kinf_2_1(self):
+        assert self.outcome("x + x^2*y", "kinf", (2, 1)) == {
+            "kinf": (["CertifiedReal"], [0.0]),
+        }
+
+    def test_quintic_all_1_0(self):
+        assert self.outcome("x*(x^2+1)^2", "all", (1, 0)) == {
+            "k0": (["Uncertified"], []),
+            "kinf": (["Uncertified"], []),
+            "k": (["Uncertified"], []),
+        }
+
+    def test_cubic_k0(self):
+        statuses, headline = self.outcome("x^3 - 3*x", "k0", variables=("x",))["k0"]
+        assert statuses == ["CertifiedReal", "CertifiedReal"]
+        assert headline == pytest.approx([-2.0, 2.0], abs=1e-9)
 
 
 class TestMalgrangeProbe:

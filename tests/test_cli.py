@@ -265,3 +265,36 @@ def test_package_main_runs_without_warning():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["results"]["k0"]["eliminant"] == "y^2 - 4"
+
+
+def test_real_run_builds_each_system_once_and_refines_each_root_once(capsys, monkeypatch):
+    import critvals.certify
+    import critvals.report
+
+    built = []
+    refined = []
+
+    def counting_build(f, shape, mode):
+        built.append(mode)
+        return real_build(f, shape, mode)
+
+    def counting_refine(p, interval, width):
+        refined.append(interval)
+        return real_refine(p, interval, width)
+
+    real_build, real_refine = cli.build_system, cli.refine_interval
+    for module in (cli, critvals.certify):
+        monkeypatch.setattr(module, "build_system", counting_build)
+    for module in (cli, critvals.report):
+        monkeypatch.setattr(module, "refine_interval", counting_refine, raising=False)
+    code, doc = run_json(
+        capsys, "x + x^2*y", "--field", "real", "--set", "all", "--bounds", "1,1",
+        "--dump-system", "--restarts", "8",
+    )
+    assert code == 0
+    # certification and the dump share one system per value set
+    assert sorted(built) == ["BV", "GBV"]
+    assert set(doc["dumped_systems"]) == {"kinf", "k"}
+    roots = sum(len(r["real_roots"]) for r in doc["results"].values())
+    assert roots == 2 and len(refined) == roots
+    assert [r["certification"] for r in doc["results"]["k"]["real_roots"]] == ["CertifiedReal"]
