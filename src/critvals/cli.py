@@ -203,33 +203,31 @@ def run(cfg: RunConfig, text: str) -> CriticalValueReport:
 
     if cfg.value_set == "sf":
         assert shape is not None
-        result = compute_sF(polys, shape, cfg.limits)
+        av_system = build_av_system(polys, shape, False)
+        result = compute_sF(polys, shape, cfg.limits, system=av_system)
         image_names = tuple(f"y{l}" for l in range(1, len(polys) + 1))
         sf_report = build_sf_report(result, image_names)
         if cfg.dump_system:
-            dumps["sf"] = _dump_arc_system(build_av_system(polys, shape, False))
+            dumps["sf"] = _dump_arc_system(av_system)
     else:
         f = polys[0]
         targets = ("k0", "kinf", "k") if cfg.value_set == "all" else (cfg.value_set,)
         for name in targets:
             t0 = time.perf_counter()
+            # one arc system per value set: eliminated, certified against and dumped
+            arc_system = None
             if name == "k0":
                 result = compute_k0(f, cfg.limits)
-            elif name == "kinf":
-                assert shape is not None
-                result = compute_kinf(f, shape, cfg.limits)
             else:
                 assert shape is not None
-                result = compute_k(f, shape, cfg.limits)
+                compute = compute_kinf if name == "kinf" else compute_k
+                arc_system = build_system(f, shape, "BV" if name == "kinf" else "GBV")
+                result = compute(f, shape, cfg.limits, system=arc_system)
             refined = [
                 refine_interval(result.eliminant, root, REPORT_INTERVAL_WIDTH)
                 for root in result.real_roots
             ]
             real_field = cfg.field == "real"
-            arc_system = None
-            if name != "k0" and (cfg.dump_system or (real_field and refined)):
-                assert shape is not None
-                arc_system = build_system(f, shape, "BV" if name == "kinf" else "GBV")
             certs = _certify_real_roots(cfg, f, arc_system, refined) if real_field else None
             value_sets.append(build_value_set_report(name, result, refined, certs))
             timings[name] = int(1000 * (time.perf_counter() - t0))

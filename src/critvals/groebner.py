@@ -1,23 +1,50 @@
 """Buchberger's algorithm and elimination ideals, exact over the rationals.
 
-Internals work on integer-coefficient term dicts (denominators cleared,
-content stripped after every reduction), with monomials permuted into the
-comparison order once on entry.  Pair selection is the normal strategy
-refined by sugar degree; the pair set is pruned with the Gebauer-Moeller
-update, so both Buchberger criteria are applied.  Everything is
-deterministic for fixed input: selection keys are total orders and every
-set iteration that matters is sorted.
+The kernel is order-native.  On entry every monomial is encoded once by the
+term order into a tuple whose natural tuple order is the term order:
+
+  lex      the permuted exponents;
+  grevlex  (deg, -e_n, ..., -e_1) over the permuted exponents e_1..e_n;
+  block    the grevlex encodings of the two blocks, concatenated.
+
+The encoding is linear in the exponents, so comparing two monomials is one
+tuple compare and a monomial product or quotient is an elementwise add or
+subtract.  Monomials are decoded only when the result `Poly` is built.
+Coefficients are integers: denominators are cleared on entry and content is
+stripped as the reductions go.
+
+Reduction is fraction-free and in place.  The working polynomial is one
+dict; a reduction step scales it, cancels its leading term against a
+reducer, and adds the reducer's shifted tail into it.  The leading term
+comes from a lazy heap over the working polynomial's monomials (negated
+encodings, so the heap's minimum is the leading monomial; monomials that
+cancelled are skipped when they surface).  Each basis entry keeps its
+leading exponents and a support bitmask, and the reducer scan skips an entry
+by mask before it compares exponents.  Top reduction and full normal form
+share the same step; both check the clock every 32 steps.
+
+Pair selection is the normal strategy refined by sugar degree: pairs wait in
+a heap keyed (sugar, encoded lcm, i, j), computed once when the pair is
+made, and each pair keeps its lcm for the chain criterion.  The pair set is
+pruned with the Gebauer-Moeller update, so both Buchberger criteria are
+applied; its deletions are lazy (a deleted pair is skipped when it surfaces).
+Everything is deterministic for fixed input: selection keys are total orders
+and every iteration that matters is ordered.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal, Sequence
+from functools import cached_property
+from heapq import heapify, heappop, heappush
+from itertools import compress
+from operator import add, itemgetter, le, neg, sub
+from typing import Callable, Iterable, Literal, Sequence
 
-from .poly import Poly, PolyError, VarTable
+from .poly import Poly, VarTable
 
 Mono = tuple[int, ...]
 OrderKind = Literal["grevlex", "lex", "block"]
@@ -82,17 +109,65 @@ class TermOrder:
             out[i] = mono[pos]
         return tuple(out)
 
-    def key(self, permuted: Mono) -> tuple:
+    def key(self, permuted: Mono) -> Mono:
         """Sort key on permuted exponents: larger key = larger monomial."""
+        return self.encode(self.unpermute(permuted))
+
+    @cached_property
+    def _codec(self) -> tuple[Callable[[Mono], Mono], Callable[[Mono], Mono], Callable[[Mono], int]]:
+        """(encode, decode, degree) on encoded monomials of this order."""
+        vo = self.var_order
         if self.kind == "lex":
-            return permuted
+            return _picker(vo), _picker(self.unpermute(tuple(range(len(vo))))), sum
+        # graded segments, each encoded as (deg, -e_last, ..., -e_first)
         if self.kind == "grevlex":
-            return _grevlex_key(permuted)
-        return _grevlex_key(permuted[: self.split]) + _grevlex_key(permuted[self.split :])
+            segments = [vo[::-1]]
+        else:
+            segments = [vo[: self.split][::-1], vo[self.split :][::-1]]
+        pickers = [_picker(segment) for segment in segments]
+        positions = [0] * len(vo)  # encoded position of each table index
+        degree_at = []
+        offset = 0
+        for segment in segments:
+            degree_at.append(offset)
+            for p, i in enumerate(segment, start=offset + 1):
+                positions[i] = p
+            offset += len(segment) + 1
+        pick = _picker(positions)
+
+        def encode(mono: Mono) -> Mono:
+            out: list[int] = []
+            for segment in pickers:
+                exps = segment(mono)
+                out.append(sum(exps))
+                out.extend(map(neg, exps))
+            return tuple(out)
+
+        def decode(encoded: Mono) -> Mono:
+            return tuple(map(neg, pick(encoded)))
+
+        return encode, decode, lambda m: sum(m[q] for q in degree_at)
+
+    def encode(self, mono: Mono) -> Mono:
+        """Encode table-order exponents; tuple order on encodings is this order."""
+        return self._codec[0](mono)
+
+    def decode(self, encoded: Mono) -> Mono:
+        """Table-order exponents of an encoded monomial."""
+        return self._codec[1](encoded)
+
+    def degree(self, encoded: Mono) -> int:
+        """Total degree of an encoded monomial."""
+        return self._codec[2](encoded)
 
 
-def _grevlex_key(mono: Mono) -> tuple:
-    return (sum(mono), tuple(-e for e in reversed(mono)))
+def _picker(indices: Sequence[int]) -> Callable[[Mono], Mono]:
+    """mono -> tuple(mono[i] for i in indices), as one C call."""
+    if len(indices) == 1:
+        return lambda m, i=indices[0]: (m[i],)
+    if not indices:
+        return lambda m: ()
+    return itemgetter(*indices)
 
 
 def grevlex_order(arity: int) -> TermOrder:
@@ -138,190 +213,267 @@ class GroebnerBasis:
     order: TermOrder
 
 
-# ---- integer term-dict plumbing ----
+# ---- monomials: products and quotients on encodings, divisibility on exponents ----
 
 
-def _clear_denominators(p: Poly, order: TermOrder) -> dict[Mono, int]:
-    lcm = 1
-    for _, c in p.terms():
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    out = {order.permute(m): int(c * lcm) for m, c in p.terms()}
-    return _strip_content(out)
+def _mul(a: Mono, b: Mono) -> Mono:
+    return tuple(map(add, a, b))
 
 
-def _strip_content(f: dict[Mono, int]) -> dict[Mono, int]:
-    if not f:
-        return f
-    g = math.gcd(*f.values())
-    if g > 1:
-        return {m: c // g for m, c in f.items()}
-    return f
+def _quo(a: Mono, b: Mono) -> Mono:
+    return tuple(map(sub, a, b))
 
 
-def _to_poly(f: dict[Mono, int], vars: VarTable, order: TermOrder) -> Poly:
-    return Poly(vars, {order.unpermute(m): Fraction(c) for m, c in f.items()})
-
-
-def _lead(f: dict[Mono, int], order: TermOrder) -> Mono:
-    return max(f, key=order.key)
+def _lcm(a: Mono, b: Mono) -> Mono:
+    return tuple(map(max, a, b))
 
 
 def _divides(a: Mono, b: Mono) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
-def _mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+def _support(exps: Mono, bits: Sequence[int]) -> int:
+    """Bitmask of the variables with a positive exponent."""
+    return sum(compress(bits, exps))
 
 
-def _mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+# ---- integer term dicts on encoded monomials ----
 
 
-def _mono_sub(a: Mono, b: Mono) -> Mono:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _total_deg(f: dict[Mono, int]) -> int:
-    return max(sum(m) for m in f)
-
-
-def _add_scaled(f: dict[Mono, int], scale_f: int, g: dict[Mono, int], scale_g: int, shift: Mono) -> dict[Mono, int]:
-    """scale_f * f + scale_g * x^shift * g, dropping zeros."""
-    out: dict[Mono, int] = {m: scale_f * c for m, c in f.items()} if scale_f != 1 else dict(f)
-    for m, c in g.items():
-        key = _mono_mul(m, shift)
-        v = out.get(key, 0) + scale_g * c
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
+def _encode_poly(p: Poly, order: TermOrder) -> dict[Mono, int]:
+    """Encoded monomials, denominators cleared, content stripped."""
+    lcm = 1
+    for _, c in p.terms():
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    out = {order.encode(m): int(c * lcm) for m, c in p.terms()}
+    _strip_content(out)
     return out
 
 
-@dataclass
+def _strip_content(f: dict[Mono, int]) -> None:
+    g = math.gcd(*f.values())
+    if g > 1:
+        for m in f:
+            f[m] //= g
+
+
+def _to_poly(f: dict[Mono, int], vars: VarTable, order: TermOrder) -> Poly:
+    return Poly(vars, {order.decode(m): Fraction(c) for m, c in f.items()})
+
+
+def _positive_lead(f: dict[Mono, int]) -> None:
+    if f and f[max(f)] < 0:
+        for m in f:
+            f[m] = -f[m]
+
+
 class _Entry:
-    poly: dict[Mono, int]
-    lm: Mono
-    lc: int
-    sugar: int
+    """A reducer: a polynomial with positive leading coefficient, kept as its
+    leading monomial (encoded, and as exponents with their support mask),
+    leading coefficient and tail terms, plus its sugar degree."""
+
+    __slots__ = ("lm", "exps", "mask", "lc", "tail", "deg", "sugar")
+
+    def __init__(self, poly: dict[Mono, int], lm: Mono, run: "_Run", sugar: int):
+        self.lm = lm
+        self.exps = run.order.decode(lm)
+        self.mask = _support(self.exps, run.bits)
+        self.lc = poly[lm]
+        self.tail = [(m, c) for m, c in poly.items() if m != lm]
+        self.deg = sum(self.exps)
+        self.sugar = sugar
+
+    def poly(self) -> dict[Mono, int]:
+        out = dict(self.tail)
+        out[self.lm] = self.lc
+        return out
+
+
+def _reducer(exps: Mono, mask: int, reducers: list[_Entry]) -> _Entry | None:
+    """First entry whose leading monomial divides exps, skipping by mask."""
+    outside = ~mask
+    for entry in reducers:
+        if not entry.mask & outside and all(map(le, entry.exps, exps)):
+            return entry
+    return None
+
+
+def _reduce_step(work: dict[Mono, int], heap: list[Mono], lm: Mono, reducer: _Entry) -> int:
+    """work <- a*work - b*x^(lm/lm_r)*reducer in place, cancelling the term at
+    lm; new monomials go on the lead heap.  Returns a > 0."""
+    lc = work.pop(lm)
+    g = math.gcd(lc, reducer.lc)
+    a, nb = reducer.lc // g, -(lc // g)
+    if a != 1:
+        for m in work:
+            work[m] *= a
+    shift = _quo(lm, reducer.lm)
+    get = work.get
+    for m, c in reducer.tail:
+        key = tuple(map(add, m, shift))  # _mul, inlined in the hottest loop
+        v = get(key)
+        if v is None:
+            work[key] = nb * c
+            heappush(heap, tuple(map(neg, key)))
+        else:
+            v += nb * c
+            if v:
+                work[key] = v
+            else:
+                del work[key]
+    return a
+
+
+def _lead_heap(work: dict[Mono, int]) -> list[Mono]:
+    heap = [tuple(map(neg, m)) for m in work]
+    heapify(heap)
+    return heap
+
+
+def _pop_lead(work: dict[Mono, int], heap: list[Mono]) -> Mono:
+    """Leading monomial of a nonzero work; skips monomials that cancelled."""
+    while True:
+        m = tuple(map(neg, heappop(heap)))
+        if m in work:
+            return m
 
 
 class _Run:
-    """One Buchberger computation with its limits and clock."""
+    """One Buchberger computation: its basis, pair queue, limits and clock."""
 
     def __init__(self, order: TermOrder, limits: ResourceLimits):
         self.order = order
         self.limits = limits
         self.start = time.monotonic()
+        self.bits = [1 << i for i in range(len(order.var_order))]
+        self.basis: list[_Entry] = []
+        self.pairs: dict[tuple[int, int], Mono] = {}  # live pair -> lcm exponents
+        self.queue: list[tuple] = []  # heap of (sugar, encoded lcm, i, j)
         self.pairs_done = 0
+
+    def limit(self, which: str, detail: str) -> LimitExceeded:
+        """A trip of a count limit, saying how far the run got.  (The clock's
+        message leaves the progress out: it changes from run to run, and the
+        error message is part of a deterministic report.)"""
+        return LimitExceeded(which, f"{detail} after {self.pairs_done} pairs (basis {len(self.basis)})")
 
     def check_clock(self) -> None:
         if time.monotonic() - self.start > self.limits.wall_clock_budget:
-            raise LimitExceeded(
-                "wall_clock_budget", f"exceeded {self.limits.wall_clock_budget}s"
-            )
+            raise LimitExceeded("wall_clock_budget", f"exceeded {self.limits.wall_clock_budget}s")
 
-    def top_reduce(self, f: dict[Mono, int], basis: list[_Entry]) -> dict[Mono, int]:
-        """Reduce the leading term until it is irreducible; content-free result."""
-        order = self.order
-        steps = 0
-        while f:
-            lm = _lead(f, order)
-            reducer = None
-            for entry in basis:
-                if _divides(entry.lm, lm):
-                    reducer = entry
-                    break
-            if reducer is None:
-                break
-            lc = f[lm]
-            g = math.gcd(lc, reducer.lc)
-            f = _add_scaled(
-                f, reducer.lc // g, reducer.poly, -(lc // g), _mono_sub(lm, reducer.lm)
-            )
-            steps += 1
-            if steps % 32 == 0:
-                f = _strip_content(f)
-                self.check_clock()
-        return _strip_content(f)
-
-    def normal_form(self, f: dict[Mono, int], basis: list[_Entry]) -> dict[Mono, int]:
-        """Fully reduce every term of f; content-free result."""
-        order = self.order
-        done: dict[Mono, int] = {}
-        work = dict(f)
+    def top_reduce(self, work: dict[Mono, int]) -> Mono | None:
+        """Reduce work's leading term in place until no basis entry divides
+        it, then strip the content.  Returns the leading monomial, None if
+        work reduced to zero."""
+        heap = _lead_heap(work)
+        decode, bits, basis = self.order.decode, self.bits, self.basis
         steps = 0
         while work:
-            lm = _lead(work, order)
-            reducer = None
-            for entry in basis:
-                if _divides(entry.lm, lm):
-                    reducer = entry
-                    break
+            lm = _pop_lead(work, heap)
+            exps = decode(lm)
+            reducer = _reducer(exps, _support(exps, bits), basis)
+            if reducer is None:
+                _strip_content(work)
+                return lm
+            _reduce_step(work, heap, lm, reducer)
+            steps += 1
+            if steps % 32 == 0:
+                _strip_content(work)
+                self.check_clock()
+        return None
+
+    def normal_form(self, work: dict[Mono, int], reducers: list[_Entry]) -> dict[Mono, int]:
+        """Fully reduce every term of work (consumed); content-free result."""
+        heap = _lead_heap(work)
+        decode, bits = self.order.decode, self.bits
+        done: dict[Mono, int] = {}
+        steps = 0
+        while work:
+            lm = _pop_lead(work, heap)
+            exps = decode(lm)
+            reducer = _reducer(exps, _support(exps, bits), reducers)
             if reducer is None:
                 done[lm] = work.pop(lm)
                 continue
-            lc = work[lm]
-            g = math.gcd(lc, reducer.lc)
-            a, b = reducer.lc // g, lc // g
-            work = _add_scaled(work, a, reducer.poly, -b, _mono_sub(lm, reducer.lm))
+            a = _reduce_step(work, heap, lm, reducer)
             if a != 1:
-                done = {m: a * c for m, c in done.items()}
+                for m in done:
+                    done[m] *= a
             steps += 1
             if steps % 32 == 0:
-                joint = math.gcd(math.gcd(*done.values()) if done else 0,
-                                 math.gcd(*work.values()) if work else 0)
+                joint = math.gcd(*done.values(), *work.values())
                 if joint > 1:
-                    done = {m: c // joint for m, c in done.items()}
-                    work = {m: c // joint for m, c in work.items()}
+                    for f in (done, work):
+                        for m in f:
+                            f[m] //= joint
                 self.check_clock()
-        return _strip_content(done)
+        if done:
+            _strip_content(done)
+        return done
 
+    def add(self, entry: _Entry) -> None:
+        """Gebauer-Moeller pair update: prune old pairs by the chain
+        criterion, minimalize new lcms, drop coprime pairs, queue the rest,
+        then append entry to the basis."""
+        basis, pairs = self.basis, self.pairs
+        t = len(basis)
+        lmf = entry.exps
 
-def _positive_lead(f: dict[Mono, int], order: TermOrder) -> dict[Mono, int]:
-    if f and f[_lead(f, order)] < 0:
-        return {m: -c for m, c in f.items()}
-    return f
+        stale = [
+            (i, j)
+            for (i, j), lij in pairs.items()
+            if _divides(lmf, lij)
+            and lij != _lcm(basis[i].exps, lmf)
+            and lij != _lcm(basis[j].exps, lmf)
+        ]
+        for p in stale:
+            del pairs[p]
 
+        by_lcm: dict[Mono, list[int]] = {}
+        for i in range(t):
+            by_lcm.setdefault(_lcm(basis[i].exps, lmf), []).append(i)
+        # a proper divisor has lower degree, so degree order finds the
+        # divisibility-minimal lcms
+        kept: list[Mono] = []
+        for lcm in sorted(by_lcm, key=sum):
+            if all(not _divides(other, lcm) for other in kept):
+                kept.append(lcm)
+        for lcm in kept:
+            group = by_lcm[lcm]
+            if any(not basis[i].mask & entry.mask for i in group):
+                continue  # a coprime pair witnesses this lcm: S-poly reduces to zero
+            i = group[0]
+            deg = sum(lcm)
+            sugar = max(basis[i].sugar + deg - basis[i].deg, entry.sugar + deg - entry.deg)
+            pairs[(i, t)] = lcm
+            heappush(self.queue, (sugar, self.order.encode(lcm), i, t))
 
-def _update(
-    basis: list[_Entry],
-    pairs: set[tuple[int, int]],
-    entry: _Entry,
-    order: TermOrder,
-) -> None:
-    """Gebauer-Moeller pair update: append entry, prune old pairs by the
-    chain criterion, minimalize new lcms, drop coprime pairs."""
-    t = len(basis)
-    lmf = entry.lm
+        basis.append(entry)
 
-    stale = []
-    for i, j in pairs:
-        lij = _mono_lcm(basis[i].lm, basis[j].lm)
-        if (
-            _divides(lmf, lij)
-            and lij != _mono_lcm(basis[i].lm, lmf)
-            and lij != _mono_lcm(basis[j].lm, lmf)
-        ):
-            stale.append((i, j))
-    for p in stale:
-        pairs.discard(p)
+    def next_pair(self) -> tuple[int, Mono, int, int]:
+        """Pop the least live pair: (sugar, encoded lcm, i, j)."""
+        while True:
+            item = heappop(self.queue)
+            if self.pairs.pop(item[2:], None) is not None:
+                return item
 
-    by_lcm: dict[Mono, list[int]] = {}
-    for i in range(t):
-        by_lcm.setdefault(_mono_lcm(basis[i].lm, lmf), []).append(i)
-    kept: list[Mono] = []
-    for lcm in sorted(by_lcm, key=order.key):
-        if all(not _divides(other, lcm) for other in kept):
-            kept.append(lcm)
-    for lcm in kept:
-        group = by_lcm[lcm]
-        if any(_mono_lcm(basis[i].lm, lmf) == _mono_mul(basis[i].lm, lmf) for i in group):
-            continue  # a coprime pair witnesses this lcm: S-poly reduces to zero
-        pairs.add((min(group), t))
-
-    basis.append(entry)
+    def s_poly(self, i: int, j: int, lcm: Mono) -> dict[Mono, int]:
+        """Fraction-free S-polynomial of basis entries i and j at the encoded lcm."""
+        gi, gj = self.basis[i], self.basis[j]
+        c = math.gcd(gi.lc, gj.lc)
+        shift = _quo(lcm, gi.lm)
+        scale = gj.lc // c
+        work = {_mul(m, shift): scale * v for m, v in gi.tail}
+        shift = _quo(lcm, gj.lm)
+        scale = -(gi.lc // c)
+        for m, v in gj.tail:
+            key = _mul(m, shift)
+            s = work.get(key, 0) + scale * v
+            if s:
+                work[key] = s
+            else:
+                work.pop(key, None)
+        return work
 
 
 def buchberger(ideal: Ideal, limits: ResourceLimits | None = None) -> GroebnerBasis:
@@ -330,79 +482,55 @@ def buchberger(ideal: Ideal, limits: ResourceLimits | None = None) -> GroebnerBa
         raise GroebnerError("buchberger needs at least one generator")
     limits = limits or ResourceLimits()
     order = ideal.order
+    degree = order.degree
     vars = ideal.generators[0].vars
     run = _Run(order, limits)
+    basis = run.basis
 
-    basis: list[_Entry] = []
-    pairs: set[tuple[int, int]] = set()
     for g in ideal.generators:
-        f = _clear_denominators(g, order)
-        f = run.top_reduce(f, basis)
-        if f:
-            f = _positive_lead(f, order)
-            lm = _lead(f, order)
-            _update(basis, pairs, _Entry(f, lm, f[lm], _total_deg(f)), order)
+        f = _encode_poly(g, order)
+        lm = run.top_reduce(f)
+        if lm is not None:
+            _positive_lead(f)
+            run.add(_Entry(f, lm, run, max(map(degree, f))))
 
-    while pairs:
+    while run.pairs:
         run.pairs_done += 1
         if run.pairs_done > limits.max_pairs:
-            raise LimitExceeded("max_pairs", f"processed more than {limits.max_pairs} pairs")
-        run.check_clock()
-
-        def pair_rank(p: tuple[int, int]) -> tuple:
-            i, j = p
-            lcm = _mono_lcm(basis[i].lm, basis[j].lm)
-            sugar = max(
-                basis[i].sugar + sum(_mono_sub(lcm, basis[i].lm)),
-                basis[j].sugar + sum(_mono_sub(lcm, basis[j].lm)),
+            raise LimitExceeded(
+                "max_pairs",
+                f"processed more than {limits.max_pairs} pairs (basis {len(basis)})",
             )
-            return (sugar, order.key(lcm), i, j)
-
-        i, j = min(pairs, key=pair_rank)
-        pairs.discard((i, j))
-        gi, gj = basis[i], basis[j]
-        lcm = _mono_lcm(gi.lm, gj.lm)
-        c = math.gcd(gi.lc, gj.lc)
-        s = _add_scaled(
-            _add_scaled({}, 1, gi.poly, gj.lc // c, _mono_sub(lcm, gi.lm)),
-            1,
-            gj.poly,
-            -(gi.lc // c),
-            _mono_sub(lcm, gj.lm),
-        )
-        sugar = max(
-            gi.sugar + sum(_mono_sub(lcm, gi.lm)),
-            gj.sugar + sum(_mono_sub(lcm, gj.lm)),
-        )
-        h = run.top_reduce(s, basis)
-        if not h:
+        run.check_clock()
+        sugar, lcm, i, j = run.next_pair()
+        h = run.s_poly(i, j, lcm)
+        lm = run.top_reduce(h)
+        if lm is None:
             continue
         if len(basis) + 1 > limits.max_basis_size:
-            raise LimitExceeded("max_basis_size", f"basis grew past {limits.max_basis_size}")
+            raise run.limit("max_basis_size", f"basis grew past {limits.max_basis_size}")
         bits = max(c.bit_length() for c in h.values())
         if bits > limits.max_coefficient_bits:
-            raise LimitExceeded(
-                "max_coefficient_bits", f"coefficient reached {bits} bits"
-            )
-        h = _positive_lead(h, order)
-        lm = _lead(h, order)
-        _update(basis, pairs, _Entry(h, lm, h[lm], max(sugar, _total_deg(h))), order)
+            raise run.limit("max_coefficient_bits", f"coefficient reached {bits} bits")
+        _positive_lead(h)
+        run.add(_Entry(h, lm, run, max(sugar, max(map(degree, h)))))
 
     # minimalize: keep only entries whose lm no other kept lm divides
     minimal: list[_Entry] = []
-    for entry in sorted(basis, key=lambda e: order.key(e.lm)):
-        if all(not _divides(kept.lm, entry.lm) for kept in minimal):
+    for entry in sorted(basis, key=lambda e: e.lm):
+        if all(not _divides(kept.exps, entry.exps) for kept in minimal):
             minimal.append(entry)
 
     # interreduce: full normal form of each against the others
-    reduced: list[dict[Mono, int]] = []
+    reduced: list[tuple[Mono, dict[Mono, int]]] = []
     for k, entry in enumerate(minimal):
         others = minimal[:k] + minimal[k + 1 :]
-        nf = run.normal_form(entry.poly, others)
-        reduced.append(_positive_lead(nf, order))
+        nf = run.normal_form(entry.poly(), others)
+        _positive_lead(nf)
+        reduced.append((entry.lm, nf))
 
-    reduced.sort(key=lambda f: order.key(_lead(f, order)), reverse=True)
-    return GroebnerBasis(tuple(_to_poly(f, vars, order) for f in reduced), order)
+    reduced.sort(key=lambda item: item[0], reverse=True)
+    return GroebnerBasis(tuple(_to_poly(f, vars, order) for _, f in reduced), order)
 
 
 def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
@@ -413,11 +541,11 @@ def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
     run = _Run(order, ResourceLimits())
     entries = []
     for g in gb.basis:
-        f = _clear_denominators(g, order)
-        lm = _lead(f, order)
-        entries.append(_Entry(f, lm, f[lm], sum(lm)))
-    nf = run.normal_form(_clear_denominators(p, order), entries)
-    return _to_poly(_positive_lead(nf, order), p.vars, order)
+        f = _encode_poly(g, order)
+        entries.append(_Entry(f, max(f), run, 0))
+    nf = run.normal_form(_encode_poly(p, order), entries)
+    _positive_lead(nf)
+    return _to_poly(nf, p.vars, order)
 
 
 def eliminate(ideal: Ideal, keep: Iterable[int], limits: ResourceLimits | None = None) -> Ideal:

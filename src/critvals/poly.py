@@ -129,11 +129,6 @@ class Poly:
             return -1
         return sum(next(iter(self._terms)))  # first stored term is grevlex-max
 
-    def degree_in(self, index: int) -> int:
-        if not self._terms:
-            return -1
-        return max(m[index] for m in self._terms)
-
     def variables_used(self) -> set[int]:
         """Indices of variables that occur with positive exponent."""
         used: set[int] = set()

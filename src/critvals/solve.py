@@ -192,20 +192,32 @@ def _image_of_c0(
     return _finish_univariate(pure, table.arity, completeness, diag, root_tol)
 
 
+def _prebuilt(system: EquationSystem | None, mode: str, shape: ArcShape) -> EquationSystem | None:
+    """A caller's already-built system, checked against the one asked for."""
+    if system is not None and (system.mode != mode or system.shape != shape):
+        raise SolveError(
+            f"given a {system.mode} system at {system.shape}, expected {mode} at {shape}"
+        )
+    return system
+
+
 def compute_kinf(
     f: Poly,
     shape: ArcShape,
     limits: ResourceLimits | None = None,
     root_tol: float = 1e-10,
+    system: EquationSystem | None = None,
 ) -> UnivariateResult:
     """Asymptotic critical values via the normalized (BV) arc system.
 
     Complex pipeline: the root set is K_inf(f) at paper bounds, a sound
     subset at user bounds.  Real pipeline (shape.field = "real"): the real
     roots are candidates for the certifier, a superset of the attained
-    real values among real numbers.
+    real values among real numbers.  A caller that already holds f's BV
+    system at this shape passes it as `system`, and it is not built again.
     """
-    return _image_of_c0(build_system(f, shape, "BV"), limits, root_tol)
+    sys = _prebuilt(system, "BV", shape) or build_system(f, shape, "BV")
+    return _image_of_c0(sys, limits, root_tol)
 
 
 def compute_k(
@@ -213,12 +225,15 @@ def compute_k(
     shape: ArcShape,
     limits: ResourceLimits | None = None,
     root_tol: float = 1e-10,
+    system: EquationSystem | None = None,
 ) -> UnivariateResult:
     """Generalized critical values K = K0 union Kinf via the GBV system.
 
     Constant arcs at critical points always satisfy the GBV equations, so
-    K0(f) is contained in the output for every shape."""
-    return _image_of_c0(build_system(f, shape, "GBV"), limits, root_tol)
+    K0(f) is contained in the output for every shape.  `system` is f's GBV
+    system at this shape if the caller has built it already."""
+    sys = _prebuilt(system, "GBV", shape) or build_system(f, shape, "GBV")
+    return _image_of_c0(sys, limits, root_tol)
 
 
 def compute_sF(
@@ -226,12 +241,14 @@ def compute_sF(
     shape: ArcShape,
     limits: ResourceLimits | None = None,
     generalized: bool = False,
+    system: EquationSystem | None = None,
 ) -> SFResult:
     """Ideal of the non-properness set of the map F in image variables.
 
     Its variety contains the closure of the c0-image of the arc variety at
-    the given shape; equality holds at sufficient bounds."""
-    sys = build_av_system(F, shape, generalized)
+    the given shape; equality holds at sufficient bounds.  `system` is F's
+    AV system at this shape if the caller has built it already."""
+    sys = _prebuilt(system, "AVmap", shape) or build_av_system(F, shape, generalized)
     m = len(sys.c0)
     table = shape.var_table()
     image_names = tuple(f"y{l}" for l in range(1, m + 1))

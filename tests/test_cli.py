@@ -270,6 +270,7 @@ def test_package_main_runs_without_warning():
 def test_real_run_builds_each_system_once_and_refines_each_root_once(capsys, monkeypatch):
     import critvals.certify
     import critvals.report
+    import critvals.solve
 
     built = []
     refined = []
@@ -283,7 +284,7 @@ def test_real_run_builds_each_system_once_and_refines_each_root_once(capsys, mon
         return real_refine(p, interval, width)
 
     real_build, real_refine = cli.build_system, cli.refine_interval
-    for module in (cli, critvals.certify):
+    for module in (cli, critvals.certify, critvals.solve):
         monkeypatch.setattr(module, "build_system", counting_build)
     for module in (cli, critvals.report):
         monkeypatch.setattr(module, "refine_interval", counting_refine, raising=False)
@@ -292,9 +293,27 @@ def test_real_run_builds_each_system_once_and_refines_each_root_once(capsys, mon
         "--dump-system", "--restarts", "8",
     )
     assert code == 0
-    # certification and the dump share one system per value set
+    # elimination, certification and the dump share one system per value set
     assert sorted(built) == ["BV", "GBV"]
     assert set(doc["dumped_systems"]) == {"kinf", "k"}
     roots = sum(len(r["real_roots"]) for r in doc["results"].values())
     assert roots == 2 and len(refined) == roots
     assert [r["certification"] for r in doc["results"]["k"]["real_roots"]] == ["CertifiedReal"]
+
+
+def test_sf_run_builds_the_map_system_once(capsys, monkeypatch):
+    import critvals.solve
+
+    built = []
+
+    def counting_build(F, shape, generalized=False):
+        built.append(len(F))
+        return real_build(F, shape, generalized)
+
+    real_build = cli.build_av_system
+    for module in (cli, critvals.solve):
+        monkeypatch.setattr(module, "build_av_system", counting_build)
+    code, doc = run_json(capsys, "x; x*y", "--set", "sf", "--bounds", "1,1", "--dump-system")
+    assert code == 0
+    assert built == [2]
+    assert set(doc["dumped_systems"]) == {"sf"}

@@ -19,6 +19,7 @@ from critvals.solve import (
     compute_sF,
     heuristic_shape,
 )
+from critvals.systems import build_system
 
 from oracles import k0_univariate_oracle, package_coeffs
 
@@ -106,6 +107,15 @@ class TestComputeKinf:
         shape = ArcShape(n=1, D1=1, D2=1, bound_source="paper")
         res = compute_kinf(P("x^2", X), shape)
         assert res.completeness == "paper-bounds-complete"
+
+    def test_prebuilt_system_is_used_and_checked(self):
+        f, shape = P("x + x^2*y"), ArcShape(n=2, D1=1, D2=1)
+        bv = build_system(f, shape, "BV")
+        assert compute_kinf(f, shape, system=bv) == compute_kinf(f, shape)
+        with pytest.raises(SolveError):
+            compute_k(f, shape, system=bv)  # K needs the GBV system
+        with pytest.raises(SolveError):
+            compute_kinf(f, ArcShape(n=2, D1=1, D2=2), system=bv)
 
 
 class TestComputeK:
