@@ -26,7 +26,6 @@ from .groebner import (
     LimitExceeded,
     ResourceLimits,
     buchberger,
-    eliminate,
 )
 from .poly import ParseError, Poly, PolyError, VarTable, parse_poly, serialize_poly
 from .report import CriticalValueReport
@@ -78,7 +77,6 @@ __all__ = [
     "compute_k0",
     "compute_kinf",
     "compute_sF",
-    "eliminate",
     "heuristic_shape",
     "malgrange_probe",
     "parse_poly",

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from .arcs import ArcError, ArcShape, paper_bounds_complex, paper_bounds_real
@@ -41,6 +41,7 @@ from .solve import (
     compute_k0,
     compute_kinf,
     compute_sF,
+    heuristic_shape,
 )
 from .systems import EquationSystem, SystemError, build_av_system, build_system
 from .univariate import RootInterval, UnivariateError, refine_interval
@@ -122,22 +123,20 @@ def _validated_variables(names: tuple[str, ...]) -> tuple[str, ...]:
     return names
 
 
-def _build_shape(cfg: RunConfig, n: int, d: int) -> ArcShape:
+def _build_shape(cfg: RunConfig, top: Poly) -> ArcShape:
+    """Arc shape for the highest-degree input component `top`."""
     if cfg.bounds is not None:
         d1, d2 = cfg.bounds
-        source = "user"
-    elif cfg.paper_bounds:
-        if cfg.value_set == "sf":
-            raise UsageError("paper bounds cover single-polynomial runs, not maps")
-        fn = paper_bounds_real if cfg.field == "real" else paper_bounds_complex
-        d1, d2 = fn(n, d)
-        source = "paper"
-    else:
+        return ArcShape(n=top.vars.arity, D1=d1, D2=d2, field=cfg.field, bound_source="user")
+    if not cfg.paper_bounds:
         # desk-scale default, sound but not complete
-        d1, d2 = d, (d - 1) * d + 1
-        source = "user"
-    shape = ArcShape(n=n, D1=d1, D2=d2, field=cfg.field, bound_source=source)
-    if cfg.paper_bounds and shape.num_vars > cfg.arc_var_ceiling and not cfg.force:
+        return heuristic_shape(top, cfg.field)
+    if cfg.value_set == "sf":
+        raise UsageError("paper bounds cover single-polynomial runs, not maps")
+    fn = paper_bounds_real if cfg.field == "real" else paper_bounds_complex
+    d1, d2 = fn(top.vars.arity, top.total_degree())
+    shape = ArcShape(n=top.vars.arity, D1=d1, D2=d2, field=cfg.field, bound_source="paper")
+    if shape.num_vars > cfg.arc_var_ceiling and not cfg.force:
         raise GuardRefusal(
             f"paper bounds (D1, D2) = ({d1}, {d2}) need {shape.num_vars} arc "
             f"variables, over the ceiling of {cfg.arc_var_ceiling}; rerun with "
@@ -153,12 +152,7 @@ def _certify_real_roots(
     system of K_inf/K, or f's critical-point system for K0 (no arc system)."""
     if not refined:
         return []
-    cert_cfg = CertifyConfig(
-        tolerance=cfg.certifier.tolerance,
-        restarts=cfg.certifier.restarts,
-        max_iters=cfg.certifier.max_iters,
-        seed=cfg.seed,
-    )
+    cert_cfg = replace(cfg.certifier, seed=cfg.seed)
     if arc_system is None:
         system = compile_critical_point_system(f)
     else:
@@ -190,11 +184,11 @@ def run(cfg: RunConfig, text: str) -> CriticalValueReport:
     table = VarTable(names)
     polys = [parse_poly(part, table) for part in components]
 
-    degree = max(p.total_degree() for p in polys)
-    if degree <= 0:
+    top = max(polys, key=lambda p: p.total_degree())
+    if top.total_degree() <= 0:
         raise SolveError("constant input has no critical-value structure")
     needs_shape = cfg.value_set in ("kinf", "k", "sf", "all")
-    shape = _build_shape(cfg, table.arity, degree) if needs_shape else None
+    shape = _build_shape(cfg, top) if needs_shape else None
 
     timings: dict[str, int] = {}
     value_sets: list[ValueSetReport] = []

@@ -1,4 +1,5 @@
-"""Buchberger's algorithm and elimination ideals, exact over the rationals.
+"""Buchberger's algorithm, exact over the rationals, and the block orders
+that elimination uses.
 
 The kernel is order-native.  On entry every monomial is encoded once by the
 term order into a tuple whose natural tuple order is the term order:
@@ -42,7 +43,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from operator import add, itemgetter, le, neg, sub
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 from .poly import Poly, VarTable
 
@@ -357,6 +358,11 @@ class _Run:
         error message is part of a deterministic report.)"""
         return LimitExceeded(which, f"{detail} after {self.pairs_done} pairs (basis {len(self.basis)})")
 
+    def check_room(self) -> None:
+        """Trip max_basis_size before one more entry joins the basis."""
+        if len(self.basis) >= self.limits.max_basis_size:
+            raise self.limit("max_basis_size", f"basis grew past {self.limits.max_basis_size}")
+
     def check_clock(self) -> None:
         if time.monotonic() - self.start > self.limits.wall_clock_budget:
             raise LimitExceeded("wall_clock_budget", f"exceeded {self.limits.wall_clock_budget}s")
@@ -491,6 +497,7 @@ def buchberger(ideal: Ideal, limits: ResourceLimits | None = None) -> GroebnerBa
         f = _encode_poly(g, order)
         lm = run.top_reduce(f)
         if lm is not None:
+            run.check_room()
             _positive_lead(f)
             run.add(_Entry(f, lm, run, max(map(degree, f))))
 
@@ -507,8 +514,7 @@ def buchberger(ideal: Ideal, limits: ResourceLimits | None = None) -> GroebnerBa
         lm = run.top_reduce(h)
         if lm is None:
             continue
-        if len(basis) + 1 > limits.max_basis_size:
-            raise run.limit("max_basis_size", f"basis grew past {limits.max_basis_size}")
+        run.check_room()
         bits = max(c.bit_length() for c in h.values())
         if bits > limits.max_coefficient_bits:
             raise run.limit("max_coefficient_bits", f"coefficient reached {bits} bits")
@@ -546,24 +552,3 @@ def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
     nf = run.normal_form(_encode_poly(p, order), entries)
     _positive_lead(nf)
     return _to_poly(nf, p.vars, order)
-
-
-def eliminate(ideal: Ideal, keep: Iterable[int], limits: ResourceLimits | None = None) -> Ideal:
-    """Generators of the elimination ideal in the kept table indices.
-
-    Uses a block order placing every eliminated variable above every kept
-    one; basis elements involving only kept variables generate the
-    elimination ideal.  The unit ideal eliminates to the unit ideal.
-    """
-    if not ideal.generators:
-        raise GroebnerError("eliminate needs at least one generator")
-    arity = ideal.generators[0].vars.arity
-    keep_set = set(keep)
-    if not keep_set <= set(range(arity)):
-        raise GroebnerError(f"keep set {sorted(keep_set)} outside table range")
-    elim = [i for i in ideal.order.var_order if i not in keep_set]
-    kept = [i for i in ideal.order.var_order if i in keep_set]
-    order = TermOrder("block", tuple(elim + kept), split=len(elim))
-    gb = buchberger(Ideal(ideal.generators, order), limits)
-    selected = tuple(g for g in gb.basis if g.variables_used() <= keep_set)
-    return Ideal(selected, grevlex_order(arity))

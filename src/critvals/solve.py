@@ -1,9 +1,12 @@
 """Critical-value computations: K0, Kinf, K, and the non-properness set.
 
-Every computation is the same move: adjoin image variables pinned to the
-relevant polynomials, eliminate everything else with a block order, and
-post-process the univariate eliminant.  For a finite image this computes
-the image of the variety exactly, so no component decomposition is needed.
+Every computation is the same move, made by one routine
+(`_eliminate_images`): adjoin image variables pinned to the relevant
+polynomials, eliminate everything else with a block order, and keep the
+basis elements in the image variables alone.  K0, Kinf and K then read
+their value set off the univariate eliminant.  For a finite image this
+computes the image of the variety exactly, so no component decomposition
+is needed.
 
   K0:   eliminate x from <grad f, y - f>
   Kinf: eliminate arc variables from <BV system, y - c0>
@@ -18,10 +21,10 @@ set), and results carry a completeness flag saying which.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .arcs import ArcShape
 from .groebner import (
-    GroebnerBasis,
     Ideal,
     ResourceLimits,
     block_elim_order,
@@ -108,17 +111,42 @@ def _fresh_name(base: str, taken: tuple[str, ...]) -> str:
     return name
 
 
-def _pure_generators(gb: GroebnerBasis, keep: set[int]) -> list[Poly]:
-    return [g for g in gb.basis if g.variables_used() <= keep]
+def _eliminate_images(
+    generators: Sequence[Poly],
+    images: Sequence[Poly],
+    names: tuple[str, ...],
+    limits: ResourceLimits | None,
+) -> tuple[tuple[Poly, ...], Diagnostics]:
+    """Generators of the image of V(generators) under the map `images`.
+
+    Adjoins one image variable per image, pinned by names[l] - images[l],
+    eliminates the source variables with one block order, and keeps the
+    basis elements in the image variables alone, over VarTable(names)."""
+    source = images[0].vars
+    n, m = source.arity, len(images)
+    ext = VarTable(source.names + tuple(_fresh_name(name, source.names) for name in names))
+    into = list(range(n))
+    gens = [remap_variables(g, ext, into) for g in generators]
+    for l, image in enumerate(images):
+        gens.append(Poly.variable(ext, n + l) - remap_variables(image, ext, into))
+    gb = buchberger(Ideal(tuple(gens), block_elim_order(ext.arity, range(n))), limits)
+    image_table, image_vars = VarTable(names), set(range(n, n + m))
+    down = [0] * n + list(range(m))
+    pure = tuple(
+        remap_variables(g, image_table, down) for g in gb.basis if g.variables_used() <= image_vars
+    )
+    return pure, Diagnostics(ext.arity, len(gens), len(gb.basis))
 
 
-def _finish_univariate(
-    pure: list[Poly],
-    y_index: int,
+def _univariate(
+    generators: Sequence[Poly],
+    image: Poly,
+    limits: ResourceLimits | None,
     completeness: str,
-    diagnostics: Diagnostics,
     root_tol: float,
 ) -> UnivariateResult:
+    """The image of V(generators) under `image`, read off its eliminant."""
+    pure, diagnostics = _eliminate_images(generators, [image], Y_TABLE.names, limits)
     if not pure:
         raise InternalInvariantError(
             "elimination ideal in the image variable is zero; "
@@ -129,17 +157,12 @@ def _finish_univariate(
             f"reduced basis kept {len(pure)} image-variable generators; "
             "a univariate elimination ideal is principal"
         )
-    p = pure[0]
-    src_arity = p.vars.arity
-    index_map = [0] * src_arity
-    index_map[y_index] = 0
-    eliminant = remap_variables(p, Y_TABLE, index_map)
-    if eliminant.is_constant():
+    if pure[0].is_constant():
         # unit ideal: the system is infeasible and the value set empty
         return UnivariateResult(
             Poly.const(Y_TABLE, 1), (), (), completeness, diagnostics
         )
-    eliminant = squarefree_part(eliminant)
+    eliminant = squarefree_part(pure[0])
     return UnivariateResult(
         eliminant=eliminant,
         real_roots=tuple(isolate_real_roots(eliminant)),
@@ -159,18 +182,8 @@ def compute_k0(
     """
     if f.total_degree() <= 0:
         raise SolveError("constant polynomial has no critical values")
-    n = f.vars.arity
-    ext = VarTable(f.vars.names + (_fresh_name("y", f.vars.names),))
-    into = list(range(n))
-    gens = [
-        remap_variables(g, ext, into)
-        for g in (f.partial_derivative(j) for j in range(n))
-        if not g.is_zero()
-    ]
-    gens.append(Poly.variable(ext, n) - remap_variables(f, ext, into))
-    gb = buchberger(Ideal(tuple(gens), block_elim_order(n + 1, range(n))), limits)
-    diag = Diagnostics(ext.arity, len(gens), len(gb.basis))
-    return _finish_univariate(_pure_generators(gb, {n}), n, EXACT, diag, root_tol)
+    grads = [g for g in (f.partial_derivative(j) for j in range(f.vars.arity)) if not g.is_zero()]
+    return _univariate(grads, f, limits, EXACT, root_tol)
 
 
 def _image_of_c0(
@@ -178,18 +191,8 @@ def _image_of_c0(
     limits: ResourceLimits | None,
     root_tol: float,
 ) -> UnivariateResult:
-    shape = sys.shape
-    table = shape.var_table()
-    ext = VarTable(table.names + ("y",))
-    into = list(range(table.arity))
-    gens = [remap_variables(g, ext, into) for g in sys.generators]
-    gens.append(Poly.variable(ext, table.arity) - remap_variables(sys.c0[0], ext, into))
-    order = block_elim_order(ext.arity, range(table.arity))
-    gb = buchberger(Ideal(tuple(gens), order), limits)
-    diag = Diagnostics(ext.arity, len(gens), len(gb.basis))
-    completeness = COMPLETE if shape.bound_source == "paper" else SOUND_ONLY
-    pure = _pure_generators(gb, {table.arity})
-    return _finish_univariate(pure, table.arity, completeness, diag, root_tol)
+    completeness = COMPLETE if sys.shape.bound_source == "paper" else SOUND_ONLY
+    return _univariate(sys.generators, sys.c0[0], limits, completeness, root_tol)
 
 
 def _prebuilt(system: EquationSystem | None, mode: str, shape: ArcShape) -> EquationSystem | None:
@@ -250,24 +253,6 @@ def compute_sF(
     AV system at this shape if the caller has built it already."""
     sys = _prebuilt(system, "AVmap", shape) or build_av_system(F, shape, generalized)
     m = len(sys.c0)
-    table = shape.var_table()
     image_names = tuple(f"y{l}" for l in range(1, m + 1))
-    ext = VarTable(table.names + image_names)
-    into = list(range(table.arity))
-    gens = [remap_variables(g, ext, into) for g in sys.generators]
-    for l, c0 in enumerate(sys.c0):
-        gens.append(Poly.variable(ext, table.arity + l) - remap_variables(c0, ext, into))
-    order = block_elim_order(ext.arity, range(table.arity))
-    gb = buchberger(Ideal(tuple(gens), order), limits)
-    keep = set(range(table.arity, ext.arity))
-    image_table = VarTable(image_names)
-    down = [0] * ext.arity
-    for l in range(m):
-        down[table.arity + l] = l
-    selected = tuple(
-        remap_variables(g, image_table, down) for g in _pure_generators(gb, keep)
-    )
-    return SFResult(
-        ideal=Ideal(selected, grevlex_order(m)),
-        diagnostics=Diagnostics(ext.arity, len(gens), len(gb.basis)),
-    )
+    selected, diagnostics = _eliminate_images(sys.generators, sys.c0, image_names, limits)
+    return SFResult(ideal=Ideal(selected, grevlex_order(m)), diagnostics=diagnostics)

@@ -27,7 +27,6 @@ coordinate-power cache, and only the t-powers a family reads are built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Literal, Sequence
 
 from .arcs import ArcPowers, ArcShape
@@ -38,19 +37,6 @@ Mode = Literal["BV", "GBV", "AVmap"]
 
 class SystemError(Exception):
     """Constant input, arity mismatch, or mode misuse."""
-
-
-@dataclass(frozen=True)
-class PhiMap:
-    """The 1 + n + n^2 components (f, gradient, h-grid)."""
-
-    f: Poly
-    grads: tuple[Poly, ...]
-    hs: tuple[tuple[Poly, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.grads)
 
 
 @dataclass(frozen=True)
@@ -84,17 +70,6 @@ class EquationSystem:
                 raise SystemError("generator not over the shape's arc-variable table")
 
 
-def build_phi(f: Poly) -> PhiMap:
-    """Components (f, df/dx_1..df/dx_n, x_i * df/dx_j)."""
-    if f.total_degree() <= 0:
-        raise SystemError("constant polynomial has no critical-value structure")
-    n = f.vars.arity
-    grads = tuple(f.partial_derivative(j) for j in range(n))
-    xs = [Poly.variable(f.vars, i) for i in range(n)]
-    hs = tuple(tuple(xs[i] * grads[j] for j in range(n)) for i in range(n))
-    return PhiMap(f, grads, hs)
-
-
 def normalization_poly(shape: ArcShape) -> Poly:
     """(sum of positive-index a[i][j]) - 1, squared termwise for real arcs."""
     table = shape.var_table()
@@ -115,8 +90,9 @@ def build_system(f: Poly, shape: ArcShape, mode: Mode) -> EquationSystem:
         raise SystemError(f"arity {f.vars.arity} does not match shape n={shape.n}")
     if mode == "BV" and shape.D1 < 1:
         raise SystemError("normalized systems need D1 >= 1 (the arc must escape)")
-    phi = build_phi(f)
     d = f.total_degree()
+    if d <= 0:
+        raise SystemError("constant polynomial has no critical-value structure")
     powers = ArcPowers(shape, d)
     gens: list[Poly] = []
     tags: list[GeneratorTag] = []
@@ -129,7 +105,7 @@ def build_system(f: Poly, shape: ArcShape, mode: Mode) -> EquationSystem:
             tags.append(GeneratorTag("c", (k,)))
 
     # t-powers down to -D1 feed the e-family's k >= 0 through x_i(t).
-    s_grads = [powers.series(grad, -shape.D1) for grad in phi.grads]
+    s_grads = [powers.series(f.partial_derivative(j), -shape.D1) for j in range(shape.n)]
     for i, (s, den) in enumerate(s_grads, start=1):
         for k in range(0, (d - 1) * shape.D1 + 1):
             c = powers.coefficient(s, den, k)
@@ -137,7 +113,7 @@ def build_system(f: Poly, shape: ArcShape, mode: Mode) -> EquationSystem:
                 gens.append(c)
                 tags.append(GeneratorTag("d", (i, k)))
 
-    for i in range(1, phi.n + 1):
+    for i in range(1, shape.n + 1):
         for j, (s_grad, den) in enumerate(s_grads, start=1):
             s = powers.times_coordinate(i - 1, s_grad, 0)
             for k in range(0, d * shape.D1 + 1):

@@ -1,0 +1,64 @@
+"""The public surface: package exports and the names the benchmark calls.
+
+The benchmark under perfbench/ drives the package through module
+attributes (`cv.cli.run`, `cv.systems.build_system`, ...) and traces
+functions by (module, name).  Its own smoke test is too slow for the
+default test run, so these checks catch a rename or deletion that would
+break it.
+"""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import critvals
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Module attributes perfbench/workloads.py calls.
+WORKLOAD_NAMES = [
+    ("cli", "run"),
+    ("cli", "RunConfig"),
+    ("systems", "build_system"),
+    ("systems", "build_av_system"),
+    ("certify", "malgrange_probe"),
+    ("certify", "CertifyConfig"),
+    ("groebner", "ResourceLimits"),
+    ("poly", "parse_poly"),
+    ("poly", "VarTable"),
+    ("arcs", "ArcShape"),
+]
+
+
+def _resolve(module: str, name: str):
+    return getattr(importlib.import_module(f"critvals.{module}"), name)
+
+
+def test_every_export_resolves():
+    assert [name for name in critvals.__all__ if not hasattr(critvals, name)] == []
+
+
+def test_workload_names_exist():
+    for module, name in WORKLOAD_NAMES:
+        assert callable(_resolve(module, name)), f"{module}.{name}"
+
+
+def test_workloads_use_only_listed_names():
+    used = set(re.findall(r"\bcv\.(\w+)\.(\w+)", (PERFBENCH / "workloads.py").read_text()))
+    assert used <= set(WORKLOAD_NAMES)
+
+
+def test_traced_functions_exist():
+    # TRACED in perfbench/spans.py maps (module, function) to a span name
+    tree = ast.parse((PERFBENCH / "spans.py").read_text())
+    traced = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TRACED"
+    )
+    pairs = [ast.literal_eval(key) for key in traced.keys]
+    assert pairs
+    for module, name in pairs:
+        assert callable(_resolve(module, name)), f"{module}.{name}"
+    assert callable(critvals.report.CriticalValueReport.to_json)

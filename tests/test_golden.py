@@ -17,6 +17,8 @@ GOLDEN = [
     ("broughton_all_2_1.json", ["x + x^2*y", "--set", "all", "--bounds", "2,1"]),
     ("quintic_kinf_1_0.json", ["x*(x^2+1)^2", "--vars", "x,y", "--set", "kinf", "--bounds", "1,0"]),
     ("blowup_sf_2_1.json", ["x; x*y", "--set", "sf", "--bounds", "2,1"]),
+    # f uses y, so the image variable of K0 takes a fresh name internally
+    ("folium_k0.json", ["x^3 - 3*x*y + y^3", "--set", "k0"]),
 ]
 
 

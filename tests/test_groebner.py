@@ -1,4 +1,4 @@
-"""Buchberger and elimination: pinned bases, determinism, membership."""
+"""Buchberger: pinned bases, block orders, determinism, membership, limits."""
 
 import math
 import time
@@ -26,7 +26,6 @@ from critvals.groebner import (
     _support,
     block_elim_order,
     buchberger,
-    eliminate,
     grevlex_order,
     lex_order,
     normal_form,
@@ -96,26 +95,6 @@ class TestBasisInvariants:
             assert coeffs[0] > 0
 
 
-class TestEliminate:
-    def test_parabola_point(self):
-        ideal = lex_ideal("y - x^2", "x - 2")
-        out = eliminate(ideal, keep={1})
-        assert [serialize_poly(g) for g in out.generators] == ["y - 4"]
-
-    def test_unit_ideal_eliminates_to_unit(self):
-        out = eliminate(lex_ideal("1"), keep={1})
-        assert [serialize_poly(g) for g in out.generators] == ["1"]
-
-    def test_projection_of_circle(self):
-        # projecting the circle to the y-axis gives no constraint
-        out = eliminate(grevlex_ideal("x^2 + y^2 - 1"), keep={1})
-        assert out.generators == ()
-
-    def test_invalid_keep(self):
-        with pytest.raises(GroebnerError):
-            eliminate(grevlex_ideal("x"), keep={5})
-
-
 class TestLimits:
     def test_max_pairs_trips(self):
         xyz = VarTable(("x", "y", "z"))
@@ -126,6 +105,15 @@ class TestLimits:
         with pytest.raises(LimitExceeded) as err:
             buchberger(ideal, ResourceLimits(max_pairs=1))
         assert err.value.which == "max_pairs"
+
+    def test_max_basis_size_holds_for_input_generators(self):
+        xyz = VarTable(("x", "y", "z"))
+        ideal = Ideal((P("x", xyz), P("y", xyz), P("z", xyz)), grevlex_order(3))
+        with pytest.raises(LimitExceeded) as err:
+            buchberger(ideal, ResourceLimits(max_basis_size=2))
+        assert err.value.which == "max_basis_size"
+        assert str(err.value) == "max_basis_size: basis grew past 2 after 0 pairs (basis 2)"
+        assert len(buchberger(ideal, ResourceLimits(max_basis_size=3)).basis) == 3
 
     def test_max_pairs_message_says_how_far_the_run_got(self):
         abcd = VarTable(("a", "b", "c", "d"))

@@ -11,11 +11,13 @@ from critvals.groebner import ResourceLimits
 from critvals.poly import Poly, VarTable, parse_poly, serialize_poly
 from critvals.solve import (
     EXACT,
+    Diagnostics,
     SOUND_ONLY,
     SolveError,
     compute_k,
     compute_k0,
     compute_kinf,
+    _eliminate_images,
     compute_sF,
     heuristic_shape,
 )
@@ -39,6 +41,26 @@ def real_root_floats(result, places=6):
         refined = refine_interval(result.eliminant, r, Fraction(1, 10 ** (places + 2)))
         out.append(round(refined.approx(), places))
     return out
+
+
+class TestEliminateImages:
+    def test_parabola_point(self):
+        # the image of the point x = 2 under x^2
+        pure, diag = _eliminate_images([P("x - 2", X)], [P("x^2", X)], ("y",), None)
+        assert [serialize_poly(g) for g in pure] == ["y - 4"]
+        assert pure[0].vars == VarTable(("y",))
+        assert diag == Diagnostics(2, 2, 2)
+
+    def test_unit_ideal_eliminates_to_unit(self):
+        pure, _ = _eliminate_images([P("1", X)], [P("x", X)], ("y",), None)
+        assert [serialize_poly(g) for g in pure] == ["1"]
+
+    def test_projection_of_circle(self):
+        # projecting the circle to the y-axis gives no constraint; the image
+        # variable takes a fresh name internally because the source has y
+        pure, diag = _eliminate_images([P("x^2 + y^2 - 1")], [P("y")], ("y",), None)
+        assert pure == ()
+        assert diag.variable_count == 3
 
 
 class TestComputeK0:

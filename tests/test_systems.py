@@ -1,4 +1,4 @@
-"""System builder: Phi components, generator families, witnesses."""
+"""System builder: generator families, witnesses, misuse."""
 
 from fractions import Fraction
 
@@ -11,7 +11,6 @@ from critvals.poly import Poly, VarTable, parse_poly
 from critvals.systems import (
     SystemError,
     build_av_system,
-    build_phi,
     build_system,
     normalization_poly,
 )
@@ -31,30 +30,11 @@ def witness_vector(shape, assignments):
     return a
 
 
-class TestBuildPhi:
-    def test_broughton_components(self):
-        phi = build_phi(P("x + x^2*y"))
-        assert phi.grads == (P("1 + 2*x*y"), P("x^2"))
-        assert phi.hs[0][1] == P("x^3")  # x_1 * df/dx_2
-        assert phi.hs[1][0] == P("y + 2*x*y^2")
-
-    def test_quintic_gradient(self):
-        phi = build_phi(P("x*(x^2+1)^2"))
-        assert phi.grads[0] == P("(x^2+1)*(5*x^2+1)")
-        assert phi.grads[1].is_zero()
-
-    def test_one_variable(self):
-        phi = build_phi(P("x^2", X))
-        assert phi.f == P("x^2", X)
-        assert phi.grads == (P("2*x", X),)
-        assert phi.hs == ((P("2*x^2", X),),)
-
+class TestBuildSystem:
     def test_constant_rejected(self):
         with pytest.raises(SystemError):
-            build_phi(Poly.const(XY, 3))
+            build_system(Poly.const(XY, 3), ArcShape(n=2, D1=1, D2=1), "BV")
 
-
-class TestBuildSystem:
     def test_arc_variable_count(self):
         shape = ArcShape(n=2, D1=1, D2=1)
         assert shape.num_vars == 6
