@@ -7,12 +7,14 @@ Laurent polynomial in t whose t^k coefficient is an exact polynomial in the
 a-variables; those coefficients are the raw material for every equation
 system downstream.
 
-Substitution runs on integers: `ArcPowers` clears p's denominators once,
-multiplies and accumulates the coordinate powers x_j(t)^e as integer series
-over packed monomials, and turns a t^k coefficient into a `Poly` only when
-it is read.  One `ArcPowers` serves every substitution of a build, so each
-coordinate power is multiplied out once per system.  `LaurentSeriesOverPoly`
-arithmetic is the Poly-level reference the kernel is tested against.
+There is one substitution path, the integer kernel `ArcPowers`: it clears
+p's denominators once, multiplies and accumulates the coordinate powers
+x_j(t)^e as integer series over packed monomials, and turns a t^k
+coefficient into a `Poly` only when it is read.  One `ArcPowers` serves
+every substitution of a build, so each coordinate power is multiplied out
+once per system.  `substitute` runs one polynomial through a fresh kernel.
+The Poly-level reference the kernel is checked against lives with the
+tests (tests/oracles.py), not here.
 
 Indexing: series are stored by ascending t-exponent k; descending-power
 expansions elsewhere put their i-th tail coefficient at k = -i, and the
@@ -26,9 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterator, Literal, Sequence
+from typing import Literal
 
-from .poly import Poly, Scalar, VarTable
+from .poly import Poly, VarTable
 
 Field = Literal["complex", "real"]
 BoundSource = Literal["paper", "user"]
@@ -121,7 +123,8 @@ def paper_bounds_real(n: int, d: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class LaurentSeriesOverPoly:
-    """Finite Laurent polynomial in t with Poly coefficients.
+    """Result of `substitute`: a finite Laurent polynomial in t with Poly
+    coefficients.
 
     coeffs maps t-exponent k to a nonzero Poly over `vars`; [lo, hi] is the
     declared support interval (actual support may be smaller after
@@ -140,89 +143,11 @@ class LaurentSeriesOverPoly:
             if not self.lo <= k <= self.hi:
                 raise ArcError(f"exponent {k} outside declared support [{self.lo}, {self.hi}]")
 
-    @classmethod
-    def zero(cls, vars: VarTable) -> "LaurentSeriesOverPoly":
-        return cls(vars, {}, 0, 0)
-
-    @classmethod
-    def constant(cls, vars: VarTable, p: Poly) -> "LaurentSeriesOverPoly":
-        if p.is_zero():
-            return cls.zero(vars)
-        return cls(vars, {0: p}, 0, 0)
-
     def coefficient_at(self, k: int) -> Poly:
         return self.coeffs.get(k, Poly.zero(self.vars))
 
     def support(self) -> list[int]:
         return sorted(self.coeffs)
-
-    def items(self) -> Iterator[tuple[int, Poly]]:
-        return iter(sorted(self.coeffs.items()))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _require_same_table(self, other: "LaurentSeriesOverPoly") -> None:
-        if self.vars != other.vars:
-            raise ArcError("series over different arc-variable tables")
-
-    def __add__(self, other: "LaurentSeriesOverPoly") -> "LaurentSeriesOverPoly":
-        self._require_same_table(other)
-        out = dict(self.coeffs)
-        for k, p in other.coeffs.items():
-            s = out.get(k)
-            q = p if s is None else s + p
-            if q.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = q
-        return LaurentSeriesOverPoly(
-            self.vars, out, min(self.lo, other.lo), max(self.hi, other.hi)
-        )
-
-    def __mul__(self, other: "LaurentSeriesOverPoly") -> "LaurentSeriesOverPoly":
-        self._require_same_table(other)
-        if not self.coeffs or not other.coeffs:
-            return LaurentSeriesOverPoly.zero(self.vars)
-        out: dict[int, Poly] = {}
-        for ka, pa in self.coeffs.items():
-            for kb, pb in other.coeffs.items():
-                k = ka + kb
-                prod = pa * pb
-                s = out.get(k)
-                q = prod if s is None else s + prod
-                if q.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = q
-        return LaurentSeriesOverPoly(self.vars, out, self.lo + other.lo, self.hi + other.hi)
-
-    def scale(self, value: Scalar) -> "LaurentSeriesOverPoly":
-        c = Fraction(value)
-        if c == 0:
-            return LaurentSeriesOverPoly.zero(self.vars)
-        return LaurentSeriesOverPoly(
-            self.vars, {k: p.scale(c) for k, p in self.coeffs.items()}, self.lo, self.hi
-        )
-
-    def eval_exact(self, a_values: Sequence[Scalar], t: Scalar) -> Fraction:
-        """Evaluate at exact a-values and a nonzero rational t."""
-        tv = Fraction(t)
-        if tv == 0:
-            raise ArcError("t must be nonzero for Laurent evaluation")
-        total = Fraction(0)
-        for k, p in self.coeffs.items():
-            total += p.eval_exact(a_values) * tv**k
-        return total
-
-
-def arc_coordinate(shape: ArcShape, j: int) -> LaurentSeriesOverPoly:
-    """The series x_j(t) = sum_i a[i][j] t^i over the shape's variable table."""
-    table = shape.var_table()
-    coeffs = {
-        i: Poly.variable(table, shape.var_index(i, j)) for i in shape.exponent_range()
-    }
-    return LaurentSeriesOverPoly(table, coeffs, -shape.D2, shape.D1)
 
 
 # t-exponent k -> packed monomial -> integer coefficient (see ArcPowers).

@@ -197,7 +197,7 @@ def run(cfg: RunConfig, text: str) -> CriticalValueReport:
 
     if cfg.value_set == "sf":
         assert shape is not None
-        av_system = build_av_system(polys, shape, False)
+        av_system = build_av_system(polys, shape)
         result = compute_sF(polys, shape, cfg.limits, system=av_system)
         image_names = tuple(f"y{l}" for l in range(1, len(polys) + 1))
         sf_report = build_sf_report(result, image_names)

@@ -101,18 +101,11 @@ class TermOrder:
         if self.kind == "block" and not 0 <= self.split <= len(self.var_order):
             raise GroebnerError(f"block split {self.split} out of range")
 
-    def permute(self, mono: Mono) -> Mono:
-        return tuple(mono[i] for i in self.var_order)
-
     def unpermute(self, mono: Mono) -> Mono:
         out = [0] * len(mono)
         for pos, i in enumerate(self.var_order):
             out[i] = mono[pos]
         return tuple(out)
-
-    def key(self, permuted: Mono) -> Mono:
-        """Sort key on permuted exponents: larger key = larger monomial."""
-        return self.encode(self.unpermute(permuted))
 
     @cached_property
     def _codec(self) -> tuple[Callable[[Mono], Mono], Callable[[Mono], Mono], Callable[[Mono], int]]:

@@ -179,12 +179,6 @@ class Poly:
                     del out[mono]
         return Poly(self.vars, out)
 
-    def scale(self, value: Scalar) -> "Poly":
-        c = Fraction(value)
-        if c == 0:
-            return Poly.zero(self.vars)
-        return Poly(self.vars, {m: k * c for m, k in self._terms.items()})
-
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise PolyError("negative power of a polynomial")

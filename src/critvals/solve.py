@@ -243,15 +243,15 @@ def compute_sF(
     F: list[Poly],
     shape: ArcShape,
     limits: ResourceLimits | None = None,
-    generalized: bool = False,
     system: EquationSystem | None = None,
 ) -> SFResult:
     """Ideal of the non-properness set of the map F in image variables.
 
-    Its variety contains the closure of the c0-image of the arc variety at
-    the given shape; equality holds at sufficient bounds.  `system` is F's
-    AV system at this shape if the caller has built it already."""
-    sys = _prebuilt(system, "AVmap", shape) or build_av_system(F, shape, generalized)
+    Its variety contains the closure of the c0-image of the arc variety of
+    the normalized AV system at the given shape; equality holds at
+    sufficient bounds.  `system` is that system if the caller has built it
+    already."""
+    sys = _prebuilt(system, "AVmap", shape) or build_av_system(F, shape)
     m = len(sys.c0)
     image_names = tuple(f"y{l}" for l in range(1, m + 1))
     selected, diagnostics = _eliminate_images(sys.generators, sys.c0, image_names, limits)

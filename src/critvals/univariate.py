@@ -175,12 +175,14 @@ def _cauchy_bound(coeffs: Sequence[Fraction]) -> Fraction:
 
 
 def isolate_real_roots(p: Poly) -> list[RootInterval]:
-    """Disjoint isolating intervals, one per distinct real root, ascending.
+    """Disjoint isolating intervals, one per real root, ascending.
 
-    Works on the squarefree part internally, so multiplicities collapse.
+    p must be squarefree; callers holding anything else pass its
+    `squarefree_part`.
     """
-    sf = squarefree_part(p)
-    coeffs = to_coefficients(sf)
+    coeffs = to_coefficients(p)
+    if not coeffs:
+        raise UnivariateError("roots of the zero polynomial")
     if len(coeffs) == 1:
         return []
     chain = _sturm_chain(coeffs)
@@ -221,10 +223,13 @@ def isolate_real_roots(p: Poly) -> list[RootInterval]:
 
 
 def refine_interval(p: Poly, interval: RootInterval, width: Fraction) -> RootInterval:
-    """Bisection refinement of an isolating interval below the given width."""
+    """Bisection refinement of an isolating interval below the given width.
+
+    p must be squarefree, as for `isolate_real_roots`: the sign tests need
+    the isolated root to be simple."""
     if interval.exact:
         return interval
-    coeffs = to_coefficients(squarefree_part(p))
+    coeffs = to_coefficients(p)
     lo, hi = interval.lo, interval.hi
     shi = _eval(coeffs, hi)
     if shi == 0:

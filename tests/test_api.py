@@ -13,6 +13,8 @@ import re
 from pathlib import Path
 
 import critvals
+from critvals.arcs import ArcShape, substitute
+from critvals.poly import Poly, VarTable, parse_poly
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -62,3 +64,12 @@ def test_traced_functions_exist():
     for module, name in pairs:
         assert callable(_resolve(module, name)), f"{module}.{name}"
     assert callable(critvals.report.CriticalValueReport.to_json)
+
+
+def test_substitute_result_exposes_coeffs():
+    # the benchmark's arcs.series_terms counter sums num_terms() over the
+    # values of substitute(...).coeffs
+    s = substitute(parse_poly("x + x^2*y", VarTable(("x", "y"))), ArcShape(n=2, D1=1, D2=1))
+    assert s.coeffs
+    for k, p in s.coeffs.items():
+        assert isinstance(k, int) and isinstance(p, Poly) and p.num_terms() > 0

@@ -1,4 +1,8 @@
-"""Arc engine: bounds, arc coordinates, Laurent substitution."""
+"""Arc engine: bounds, arc coordinates, Laurent substitution.
+
+The integer kernel (`arcs.ArcPowers`, through `arcs.substitute`) is checked
+against the Poly-level reference and the integer-series product in
+tests/oracles.py."""
 
 from fractions import Fraction
 
@@ -10,13 +14,13 @@ from critvals.arcs import (
     ArcError,
     ArcPowers,
     ArcShape,
-    LaurentSeriesOverPoly,
-    arc_coordinate,
     paper_bounds_complex,
     paper_bounds_real,
     substitute,
 )
 from critvals.poly import Poly, VarTable, parse_poly, serialize_poly
+
+from oracles import arc_coordinate, reference_substitute, series_product
 
 XY = VarTable(("x", "y"))
 X = VarTable(("x",))
@@ -70,26 +74,27 @@ class TestArcShape:
 
 
 class TestArcCoordinate:
+    # the reference's arc coordinates x_j(t) = {i: a[i][j]}
     def test_full_support(self):
         shape = ArcShape(n=1, D1=1, D2=1)
         s = arc_coordinate(shape, 1)
         t = shape.var_table()
-        assert s.support() == [-1, 0, 1]
-        assert s.coefficient_at(1) == parse_poly("a[1][1]", t)
-        assert s.coefficient_at(0) == parse_poly("a[0][1]", t)
-        assert s.coefficient_at(-1) == parse_poly("a[-1][1]", t)
+        assert sorted(s) == [-1, 0, 1]
+        assert s[1] == parse_poly("a[1][1]", t)
+        assert s[0] == parse_poly("a[0][1]", t)
+        assert s[-1] == parse_poly("a[-1][1]", t)
 
     def test_no_negative_part(self):
         shape = ArcShape(n=2, D1=1, D2=0)
         s = arc_coordinate(shape, 2)
         t = shape.var_table()
-        assert s.support() == [0, 1]
-        assert s.coefficient_at(1) == parse_poly("a[1][2]", t)
+        assert sorted(s) == [0, 1]
+        assert s[1] == parse_poly("a[1][2]", t)
 
     def test_constant_arc(self):
         shape = ArcShape(n=1, D1=0, D2=0)
         s = arc_coordinate(shape, 1)
-        assert s.support() == [0]
+        assert sorted(s) == [0]
 
     def test_index_out_of_range(self):
         with pytest.raises(ArcError):
@@ -165,12 +170,24 @@ small_shapes = st.builds(
 )
 
 
+def _nonzero_times(s, c):
+    """The nonzero terms of the integer series c * s."""
+    scaled = {k: {m: v * c for m, v in terms.items() if v} for k, terms in s.items()}
+    return {k: terms for k, terms in scaled.items() if terms}
+
+
 @settings(max_examples=40, deadline=None)
 @given(polys_xy(), polys_xy(), small_shapes)
 def test_substitute_is_ring_homomorphism(p, q, shape):
+    # the product side runs on the integer series substitute reads its
+    # coefficients from: S(pq)/den = S(p)/den_p * S(q)/den_q, cross-multiplied
+    d = max(p.total_degree(), 0) + max(q.total_degree(), 0)
+    powers, lo = ArcPowers(shape, d), -d * shape.D2
+    (spq, den), (sp, den_p), (sq, den_q) = (powers.series(r, lo) for r in (p * q, p, q))
+    assert _nonzero_times(spq, den_p * den_q) == _nonzero_times(series_product(sp, sq), den)
     sp, sq = substitute(p, shape), substitute(q, shape)
-    assert substitute(p * q, shape).coeffs == (sp * sq).coeffs
-    assert substitute(p + q, shape).coeffs == (sp + sq).coeffs
+    sums = {k: sp.coefficient_at(k) + sq.coefficient_at(k) for k in sp.coeffs.keys() | sq.coeffs}
+    assert substitute(p + q, shape).coeffs == {k: c for k, c in sums.items() if not c.is_zero()}
 
 
 @settings(max_examples=40, deadline=None)
@@ -219,23 +236,9 @@ def test_numeric_consistency(p, shape, raw, t):
                 Fraction(0),
             )
         )
-    assert substitute(p, shape).eval_exact(a, t) == p.eval_exact(x)
-
-
-def reference_substitute(p, shape):
-    """p(x(t)) as a sum of scaled products of `arc_coordinate` series, in
-    `LaurentSeriesOverPoly` arithmetic: the Poly-level reference."""
-    table = shape.var_table()
-    coords = [arc_coordinate(shape, j) for j in range(1, shape.n + 1)]
-    one = LaurentSeriesOverPoly.constant(table, Poly.const(table, 1))
-    result = LaurentSeriesOverPoly.zero(table)
-    for mono, coeff in p.terms():
-        term = one
-        for x, e in zip(coords, mono):
-            for _ in range(e):
-                term = term * x
-        result = result + term.scale(coeff)
-    return result
+    s = substitute(p, shape)
+    value = sum((c.eval_exact(a) * t**k for k, c in s.coeffs.items()), Fraction(0))
+    assert value == p.eval_exact(x)
 
 
 TABLES = {1: X, 2: XY, 3: VarTable(("x", "y", "z"))}
@@ -275,11 +278,12 @@ def poly_and_shape(draw, kinds=("zero", "constant", "general")):
 def test_substitute_matches_poly_level_reference(case):
     p, shape = case
     got, want = substitute(p, shape), reference_substitute(p, shape)
-    assert got.coeffs == want.coeffs
-    assert got.support() == want.support()
-    assert (got.lo, got.hi) == (want.lo, want.hi)
-    for k in want.support():
-        assert serialize_poly(got.coefficient_at(k)) == serialize_poly(want.coefficient_at(k))
+    d = max(p.total_degree(), 0)
+    assert got.coeffs == want
+    assert got.support() == sorted(want)
+    assert (got.lo, got.hi) == (-d * shape.D2, d * shape.D1)
+    for k, c in want.items():
+        assert serialize_poly(got.coefficient_at(k)) == serialize_poly(c)
 
 
 @settings(max_examples=60, deadline=None)

@@ -317,3 +317,24 @@ def test_sf_run_builds_the_map_system_once(capsys, monkeypatch):
     assert code == 0
     assert built == [2]
     assert set(doc["dumped_systems"]) == {"sf"}
+
+
+def test_k0_run_takes_one_squarefree_part(capsys, monkeypatch):
+    # solve makes the eliminant squarefree once; isolation and refinement
+    # take it as it is
+    import critvals.univariate
+
+    calls = []
+    real_squarefree = critvals.univariate.squarefree_part
+
+    def counting_squarefree(p):
+        calls.append(p)
+        return real_squarefree(p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("critvals.") and hasattr(module, "squarefree_part"):
+            monkeypatch.setattr(module, "squarefree_part", counting_squarefree)
+    code, doc = run_json(capsys, "x^3 - 3*x", "--set", "k0")
+    assert code == 0
+    assert doc["results"]["k0"]["eliminant"] == "y^2 - 4"
+    assert len(calls) == 1

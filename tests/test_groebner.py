@@ -182,7 +182,7 @@ class TestOrders:
     def test_block_order_is_elimination_order(self):
         # any monomial containing x compares above any pure-y monomial
         order = block_elim_order(2, eliminate=[0])
-        assert order.key(order.permute((1, 0))) > order.key(order.permute((0, 5)))
+        assert order.encode((1, 0)) > order.encode((0, 5))
 
     def test_bad_permutation(self):
         with pytest.raises(GroebnerError):
@@ -268,7 +268,7 @@ def _grevlex_cmp(p, q):
 
 def _reference_cmp(order, a, b):
     """Textbook comparison of table-order exponents: +1 if a > b."""
-    p, q = order.permute(a), order.permute(b)
+    p, q = (tuple(m[i] for i in order.var_order) for m in (a, b))
     if order.kind == "lex":
         return _sign((p > q) - (p < q))
     if order.kind == "grevlex":
@@ -286,8 +286,6 @@ def test_encoding_round_trips_and_orders(case):
     assert order.degree(ea) == sum(a)
     want = _reference_cmp(order, a, b)
     assert _sign((ea > eb) - (ea < eb)) == want
-    ka, kb = order.key(order.permute(a)), order.key(order.permute(b))
-    assert _sign((ka > kb) - (ka < kb)) == want
 
 
 @settings(max_examples=200, deadline=None)
