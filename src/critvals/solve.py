@@ -5,13 +5,17 @@ Every computation is the same move, made by one routine
 polynomials, eliminate everything else with a block order, and keep the
 basis elements in the image variables alone.  K0, Kinf and K then read
 their value set off the univariate eliminant.  For a finite image this
-computes the image of the variety exactly, so no component decomposition
-is needed.
+computes the image of the variety exactly.
 
   K0:   eliminate x from <grad f, y - f>
   Kinf: eliminate arc variables from <BV system, y - c0>
   K:    eliminate arc variables from <GBV system, y - c0>
   S_F:  eliminate arc variables from <AV system, y_l - c0_l>
+
+Kinf and K first presolve their arc system into branches (see `presolve`)
+and eliminate each; only the variety matters for a squarefree eliminant.
+K0 has no arc structure to presolve, and S_F reports its ideal, not its
+radical, so both eliminate their system as built.
 
 K0 elimination is exact.  Arc-based eliminations are exact at paper
 bounds; at user bounds the root set is sound (a subset of the true value
@@ -20,18 +24,21 @@ set), and results carry a completeness flag saying which.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .arcs import ArcShape
 from .groebner import (
     Ideal,
+    LimitExceeded,
     ResourceLimits,
     block_elim_order,
     buchberger,
     grevlex_order,
 )
 from .poly import Poly, VarTable, remap_variables
+from .presolve import presolve
 from .systems import EquationSystem, build_av_system, build_system
 from .univariate import (
     ComplexRoot,
@@ -60,6 +67,12 @@ class InternalInvariantError(Exception):
 
 @dataclass(frozen=True)
 class Diagnostics:
+    """Sizes of the eliminated systems, image variables and pins included.
+
+    For a presolved Kinf/K system: variable_count is the largest arity of
+    an eliminated branch, generator_count and basis_size are summed over
+    the branches, and all three are 0 when no branch reaches Buchberger."""
+
     variable_count: int
     generator_count: int
     basis_size: int
@@ -138,14 +151,11 @@ def _eliminate_images(
     return pure, Diagnostics(ext.arity, len(gens), len(gb.basis))
 
 
-def _univariate(
-    generators: Sequence[Poly],
-    image: Poly,
-    limits: ResourceLimits | None,
-    completeness: str,
-    root_tol: float,
-) -> UnivariateResult:
-    """The image of V(generators) under `image`, read off its eliminant."""
+def _eliminant(
+    generators: Sequence[Poly], image: Poly, limits: ResourceLimits | None
+) -> tuple[Poly, Diagnostics]:
+    """Generator of the elimination ideal of the image of V(generators)
+    under `image`, over Y_TABLE; a constant for the unit ideal."""
     pure, diagnostics = _eliminate_images(generators, [image], Y_TABLE.names, limits)
     if not pure:
         raise InternalInvariantError(
@@ -157,12 +167,19 @@ def _univariate(
             f"reduced basis kept {len(pure)} image-variable generators; "
             "a univariate elimination ideal is principal"
         )
-    if pure[0].is_constant():
+    return pure[0], diagnostics
+
+
+def _value_set(
+    eliminant: Poly, completeness: str, diagnostics: Diagnostics, root_tol: float
+) -> UnivariateResult:
+    """The value set read off an eliminant; a constant means it is empty."""
+    if eliminant.is_constant():
         # unit ideal: the system is infeasible and the value set empty
         return UnivariateResult(
             Poly.const(Y_TABLE, 1), (), (), completeness, diagnostics
         )
-    eliminant = squarefree_part(pure[0])
+    eliminant = squarefree_part(eliminant)
     return UnivariateResult(
         eliminant=eliminant,
         real_roots=tuple(isolate_real_roots(eliminant)),
@@ -183,7 +200,8 @@ def compute_k0(
     if f.total_degree() <= 0:
         raise SolveError("constant polynomial has no critical values")
     grads = [g for g in (f.partial_derivative(j) for j in range(f.vars.arity)) if not g.is_zero()]
-    return _univariate(grads, f, limits, EXACT, root_tol)
+    eliminant, diagnostics = _eliminant(grads, f, limits)
+    return _value_set(eliminant, EXACT, diagnostics, root_tol)
 
 
 def _image_of_c0(
@@ -191,8 +209,48 @@ def _image_of_c0(
     limits: ResourceLimits | None,
     root_tol: float,
 ) -> UnivariateResult:
+    """The value set of an arc system: presolve it into branches, eliminate
+    each, and take the squarefree part of the product of their eliminants.
+
+    One wall-clock budget covers the presolve and every branch's Buchberger
+    run; a trip says `wall_clock_budget: exceeded {budget}s` wherever it
+    happens."""
+    limits = limits or ResourceLimits()
+    budget = limits.wall_clock_budget
+    start = time.monotonic()
+
+    def remaining() -> float:
+        left = budget - (time.monotonic() - start)
+        if left <= 0:
+            raise LimitExceeded("wall_clock_budget", f"exceeded {budget}s")
+        return left
+
+    product = Poly.const(Y_TABLE, 1)
+    widest = generator_count = basis_size = 0
+    for generators, c0 in presolve(sys.generators, sys.c0[0], remaining):
+        if not generators:
+            if not c0.is_constant():
+                raise InternalInvariantError(
+                    "a presolved branch has no equations left but a non-constant c0; "
+                    "its value set would be infinite"
+                )
+            factor = Poly.variable(Y_TABLE, 0) - Poly.const(Y_TABLE, c0.constant_value())
+        else:
+            try:
+                factor, d = _eliminant(
+                    generators, c0, replace(limits, wall_clock_budget=remaining())
+                )
+            except LimitExceeded as e:
+                if e.which != "wall_clock_budget":
+                    raise
+                raise LimitExceeded(e.which, f"exceeded {budget}s") from e
+            widest = max(widest, d.variable_count)
+            generator_count += d.generator_count
+            basis_size += d.basis_size
+        product = product * factor
     completeness = COMPLETE if sys.shape.bound_source == "paper" else SOUND_ONLY
-    return _univariate(sys.generators, sys.c0[0], limits, completeness, root_tol)
+    diagnostics = Diagnostics(widest, generator_count, basis_size)
+    return _value_set(product, completeness, diagnostics, root_tol)
 
 
 def _prebuilt(system: EquationSystem | None, mode: str, shape: ArcShape) -> EquationSystem | None:

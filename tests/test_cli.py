@@ -10,6 +10,9 @@ from critvals import cli
 from critvals.cli import GuardRefusal, RunConfig, UsageError, run
 from critvals.solve import InternalInvariantError
 
+# K0 of the folium takes more than one Buchberger pair
+FOLIUM = "x^3 - 3*x*y + y^3"
+
 
 def run_main(capsys, *argv):
     code = cli.main(list(argv))
@@ -134,9 +137,8 @@ class TestExitCodes:
         assert doc["error"]["type"] == "ParseError"
 
     def test_limit_exceeded_is_3(self, capsys):
-        code, doc = run_json(
-            capsys, "x + x^2*y", "--set", "kinf", "--bounds", "1,1", "--max-pairs", "1"
-        )
+        # an arc run at a small shape may presolve to no Buchberger run at all
+        code, doc = run_json(capsys, FOLIUM, "--set", "k0", "--max-pairs", "1")
         assert code == 3
         assert doc["error"]["type"] == "LimitExceeded"
 
@@ -214,15 +216,12 @@ class TestConfigValidation:
 class TestLimitsEnvVar:
     def test_env_default_applies(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.LIMITS_ENV_VAR, "max_pairs=1")
-        code, doc = run_json(capsys, "x + x^2*y", "--set", "kinf", "--bounds", "1,1")
+        code, doc = run_json(capsys, FOLIUM, "--set", "k0")
         assert code == 3 and doc["error"]["type"] == "LimitExceeded"
 
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.LIMITS_ENV_VAR, "max_pairs=1")
-        code, doc = run_json(
-            capsys, "x + x^2*y", "--set", "kinf", "--bounds", "1,1",
-            "--max-pairs", "100000",
-        )
+        code, doc = run_json(capsys, FOLIUM, "--set", "k0", "--max-pairs", "100000")
         assert code == 0
         assert doc["config"]["limits"]["max_pairs"] == 100000
 

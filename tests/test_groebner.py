@@ -31,7 +31,8 @@ from critvals.groebner import (
     normal_form,
 )
 from critvals.poly import Poly, VarTable, parse_poly, serialize_poly
-from critvals.solve import compute_kinf, heuristic_shape
+from critvals.solve import _eliminate_images, heuristic_shape
+from critvals.systems import build_system
 
 XY = VarTable(("x", "y"))
 
@@ -130,10 +131,12 @@ class TestLimits:
         assert str(err.value) == "max_pairs: processed more than 5 pairs (basis 7)"
 
     def test_default_shape_budget_trips_promptly(self, monkeypatch):
-        # the CLI's default shape for x + x^2*y does not finish; the clock is
-        # checked per pair and every 32 reduction steps, so a 0.5 s budget
-        # trips well within 1.5 s of entering buchberger
+        # the unpresolved BV system of x + x^2*y at the CLI's default shape
+        # does not finish; the clock is checked per pair and every 32
+        # reduction steps, so a 0.5 s budget trips well within 1.5 s of
+        # entering buchberger
         f = P("x + x^2*y")
+        system = build_system(f, heuristic_shape(f), "BV")
         entered = []
 
         def timed(ideal, limits=None):
@@ -142,7 +145,9 @@ class TestLimits:
 
         monkeypatch.setattr(critvals.solve, "buchberger", timed)
         with pytest.raises(LimitExceeded) as err:
-            compute_kinf(f, heuristic_shape(f), ResourceLimits(wall_clock_budget=0.5))
+            _eliminate_images(
+                system.generators, system.c0, ("y",), ResourceLimits(wall_clock_budget=0.5)
+            )
         elapsed = time.monotonic() - entered[0]
         assert err.value.which == "wall_clock_budget"
         assert str(err.value) == "wall_clock_budget: exceeded 0.5s"

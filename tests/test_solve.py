@@ -1,27 +1,35 @@
 """Value-set computations: K0, Kinf, K, S_F."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from critvals.arcs import ArcShape
-from critvals.groebner import ResourceLimits
+from critvals.groebner import LimitExceeded, ResourceLimits
 from critvals.poly import Poly, VarTable, parse_poly, serialize_poly
+from critvals.presolve import presolve
 from critvals.solve import (
     EXACT,
     Diagnostics,
+    InternalInvariantError,
     SOUND_ONLY,
     SolveError,
+    Y_TABLE,
     compute_k,
     compute_k0,
     compute_kinf,
+    _eliminant,
     _eliminate_images,
     compute_sF,
     heuristic_shape,
 )
-from critvals.systems import build_system
+from critvals.systems import EquationSystem, build_system
+from critvals.univariate import squarefree_part
 
 from oracles import k0_univariate_oracle, package_coeffs
 
@@ -193,6 +201,123 @@ class TestComputeSF:
         assert res.diagnostics.variable_count == 8
         assert res.diagnostics.generator_count > 0
         assert res.diagnostics.basis_size > 0
+
+
+ABCD = VarTable(("a", "b", "c", "d"))
+
+
+def branches(gens, c0):
+    """presolve's branches as (table names, generator texts, c0 text)."""
+    out = presolve([P(g, ABCD) for g in gens], P(c0, ABCD))
+    return [
+        (c0.vars.names, [serialize_poly(g) for g in gens], serialize_poly(c0)) for gens, c0 in out
+    ]
+
+
+class TestPresolve:
+    def test_pure_power_sets_its_variable_to_zero(self):
+        assert branches(["3*a^2", "b*c + a*d - 1"], "a + b") == [(("b", "c"), ["b*c - 1"], "b")]
+
+    def test_linear_variable_is_substituted(self):
+        # a occurs once, as 2*a: a := (b^2 + 1)/2 in the other generator and c0
+        assert branches(["2*a - b^2 - 1", "a*c - 1"], "a") == [
+            (("b", "c"), ["b^2*c + c - 2"], "1/2*b^2 + 1/2")
+        ]
+
+    def test_constant_generator_empties_the_branch(self):
+        assert branches(["a - 1", "a - 2"], "a") == []
+
+    def test_scalar_duplicates_and_monomial_multiples_are_dropped(self):
+        # the last two are -3 times and d times the first; d then leaves the table
+        gens = ["a*b - c^2", "3*c^2 - 3*a*b", "a*b*d - c^2*d"]
+        assert branches(gens, "a + c") == [(("a", "b", "c"), ["a*b - c^2"], "a + c")]
+
+    def test_split_on_a_monomial_factor(self):
+        # a*(b^2 - 2): the branch a = 0, then the branch with b^2 - 2 in its place
+        assert branches(["a*b^2 - 2*a"], "b + 1") == [
+            (("b",), [], "b + 1"),
+            (("b",), ["b^2 - 2"], "b + 1"),
+        ]
+
+    def test_equal_finished_branches_are_kept_once(self):
+        # a*b*(c - 1): a = 0 and b = 0 finish equal; c - 1 substitutes c := 1
+        assert branches(["a*b*c - a*b"], "c") == [(("c",), [], "c"), ((), [], "1")]
+
+    def test_no_branch_reaches_buchberger_reports_zero_diagnostics(self):
+        res = compute_kinf(P("x + x^2*y"), ArcShape(n=2, D1=1, D2=1))
+        assert res.eliminant == parse_poly("y", Y_TABLE)
+        assert res.diagnostics == Diagnostics(0, 0, 0)
+
+    def test_free_branch_with_nonconstant_c0_raises(self):
+        # no equations left and c0 = a[1][1]: an infinite image, never a value set
+        shape = ArcShape(n=1, D1=1, D2=0)
+        table = shape.var_table()
+        system = EquationSystem(
+            shape, (), (Poly.variable(table, shape.var_index(1, 1)),), "BV", "complex", ()
+        )
+        with pytest.raises(InternalInvariantError):
+            compute_kinf(P("x^2", X), shape, system=system)
+
+    def test_branch_memo_keeps_the_k0_component(self):
+        # a memo that also marked unfinished branches lost K0 here, giving y + 2
+        f = P("3*x^3 + 3*x^2*y + 2*x*y^2 - 2*x - 2")
+        res = compute_k(f, ArcShape(n=2, D1=1, D2=2))
+        assert res.eliminant == parse_poly("405*y^3 + 2430*y^2 + 4604*y + 2728", Y_TABLE)
+
+    def test_one_deadline_covers_every_branch(self):
+        # the quintic's default-shape branch runs for many seconds; the
+        # budget starts when the value set is entered, not per branch
+        f = P("x*(x^2+1)^2")
+        shape = heuristic_shape(f)
+        system = build_system(f, shape, "BV")
+        entered = time.monotonic()
+        with pytest.raises(LimitExceeded) as err:
+            compute_kinf(f, shape, ResourceLimits(wall_clock_budget=0.5), system=system)
+        assert str(err.value) == "wall_clock_budget: exceeded 0.5s"
+        assert 0.5 < time.monotonic() - entered < 1.5
+
+    def test_deadline_covers_the_presolve(self):
+        with pytest.raises(LimitExceeded) as err:
+            compute_kinf(
+                P("x + x^2*y"), ArcShape(n=2, D1=1, D2=1), ResourceLimits(wall_clock_budget=1e-6)
+            )
+        assert str(err.value) == "wall_clock_budget: exceeded 1e-06s"
+
+
+MONOMIALS = [(i, j) for i in range(4) for j in range(4) if 0 < i + j <= 3]
+
+
+@st.composite
+def arc_cases(draw):
+    """A bivariate f of degree 2 or 3, a shape up to (2, 2), a field, a mode."""
+    degree = draw(st.sampled_from((2, 3)))
+    top = draw(st.sampled_from([m for m in MONOMIALS if sum(m) == degree]))
+    rest = draw(
+        st.lists(st.sampled_from([m for m in MONOMIALS if sum(m) <= degree]), max_size=3, unique=True)
+    )
+    coeff = st.integers(-3, 3).filter(bool)
+    terms = {m: Fraction(draw(coeff)) for m in [top, *rest]}
+    terms[(0, 0)] = Fraction(draw(st.integers(-3, 3)))
+    f = Poly(XY, terms)
+    assume(f.total_degree() == degree)
+    shape = ArcShape(
+        n=2,
+        D1=draw(st.integers(1, 2)),
+        D2=draw(st.integers(0, 2)),
+        field=draw(st.sampled_from(("complex", "real"))),
+    )
+    return f, shape, draw(st.sampled_from(("BV", "GBV")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(arc_cases())
+def test_presolved_eliminant_equals_unpresolved(case):
+    f, shape, mode = case
+    system = build_system(f, shape, mode)
+    unpresolved, _ = _eliminant(system.generators, system.c0[0], None)
+    expected = Poly.const(Y_TABLE, 1) if unpresolved.is_constant() else squarefree_part(unpresolved)
+    compute = compute_kinf if mode == "BV" else compute_k
+    assert compute(f, shape, system=system).eliminant == expected
 
 
 class TestHeuristicShape:
