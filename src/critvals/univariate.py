@@ -1,10 +1,16 @@
 """Univariate post-processing: squarefree part, real root isolation,
 complex root approximation.
 
-Everything up to root isolation is exact over Fraction.  Complex
-approximation is the one numeric step: eigenvalue-based initial guesses
-polished by Newton iteration, each accepted only with an explicit residual
-certificate |p(z)| < tol * ||p|| * max(1, |z|)^deg.
+Everything up to root isolation is exact.  Each public call turns its Poly
+into an ascending list of content-free Python ints once: denominators
+cleared, content divided out, scaled only by a positive factor, so every
+sign is kept.  The gcd for the squarefree part and the Sturm chain are
+primitive pseudo-remainder sequences (Collins, JACM 1967), and the sign of
+p(n/d), d > 0, is that of the integer sum of c_i n^i d^(deg-i), taken by
+homogeneous Horner.  Interval endpoints and bisection midpoints stay
+Fractions.  Complex approximation is the one numeric step: eigenvalue-based
+initial guesses polished by Newton iteration, each accepted only with an
+explicit residual certificate |p(z)| < tol * ||p|| * max(1, |z|)^deg.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ class UnivariateError(Exception):
     """Zero polynomial where a nonzero one is required, or arity misuse."""
 
 
-# ---- coefficient-list plumbing (ascending degree, exact Fractions) ----
+# ---- coefficient lists (ascending degree) ----
 
 
 def to_coefficients(p: Poly) -> list[Fraction]:
@@ -44,79 +50,61 @@ def from_coefficients(vars: VarTable, coeffs: Sequence[Fraction]) -> Poly:
     return Poly(vars, {(i,): Fraction(c) for i, c in enumerate(coeffs) if c})
 
 
-def _trim(coeffs: list[Fraction]) -> list[Fraction]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+def _primitive(coeffs: Sequence[int]) -> list[int]:
+    """coeffs divided by their (positive) content."""
+    g = math.gcd(*coeffs)
+    return [c // g for c in coeffs] if g > 1 else list(coeffs)
 
 
-def _eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _integer_coefficients(p: Poly) -> list[int]:
+    """Content-free integer coefficients of a positive multiple of p; [] for zero."""
+    coeffs = to_coefficients(p)
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    return _primitive([c.numerator * (lcm // c.denominator) for c in coeffs])
 
 
-def _derivative(coeffs: Sequence[Fraction]) -> list[Fraction]:
+def _derivative(coeffs: Sequence[int]) -> list[int]:
     return [c * i for i, c in enumerate(coeffs)][1:]
 
 
-def _divmod(num: Sequence[Fraction], den: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(num)
-    quot = [Fraction(0)] * max(0, len(rem) - len(den) + 1)
-    lead = den[-1]
-    for shift in range(len(rem) - len(den), -1, -1):
-        q = rem[shift + len(den) - 1] / lead
-        if q:
-            quot[shift] = q
-            for i, d in enumerate(den):
-                rem[shift + i] -= q * d
-    return quot, _trim(rem)
+def _pdivmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with k*a == q*b + r for an integer k > 0 and deg r < deg b.
 
-
-def _monic(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    lead = coeffs[-1]
-    return [c / lead for c in coeffs]
-
-
-def _gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    """Monic gcd by the Euclidean algorithm (exact, desk-scale degrees)."""
-    fa, fb = _trim(list(a)), _trim(list(b))
-    while fb:
-        _, r = _divmod(fa, fb)
-        fa, fb = fb, r
-    return _monic(fa) if fa else []
-
-
-def _content_free(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """Scale to coprime integer coefficients with positive leading one."""
-    nums = [c.numerator for c in coeffs]
-    dens = [c.denominator for c in coeffs]
-    lcm = 1
-    for d in dens:
-        lcm = lcm * d // math.gcd(lcm, d)
-    ints = [n * (lcm // d) for n, d in zip(nums, dens)]
-    g = math.gcd(*ints) if ints else 0
-    if g == 0:
-        return []
-    if ints[-1] < 0:
-        g = -g
-    return [Fraction(v // g) for v in ints]
+    Each step scales by |lc(b)| / gcd(top, lc(b)) only, so k == 1 whenever b
+    divides a over the integers and q is then the exact quotient."""
+    rem, quot = list(a), [0] * max(0, len(a) - len(b) + 1)
+    lead, m = b[-1], len(b) - 1
+    for top in range(len(rem) - 1, m - 1, -1):
+        c = rem.pop()
+        if not c:
+            continue
+        g = math.gcd(c, lead)
+        s, t = abs(lead) // g, (c if lead > 0 else -c) // g
+        if s != 1:
+            rem = [s * v for v in rem]
+            quot = [s * v for v in quot]
+        quot[top - m] = t
+        for i in range(m):
+            rem[top - m + i] -= t * b[i]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
 
 
 def squarefree_part(p: Poly) -> Poly:
     """p / gcd(p, p'), content-free with positive leading coefficient."""
-    coeffs = to_coefficients(p)
+    coeffs = _integer_coefficients(p)
     if not coeffs:
         raise UnivariateError("squarefree part of the zero polynomial")
     if len(coeffs) == 1:
         return Poly.const(p.vars, 1)
-    g = _gcd(coeffs, _derivative(coeffs))
+    # primitive gcd: p / g of a content-free p and a primitive g is content-free
+    g, b = coeffs, _primitive(_derivative(coeffs))
+    while b:
+        g, b = b, _primitive(_pdivmod(g, b)[1])
     if len(g) > 1:
-        coeffs, _ = _divmod(coeffs, g)
-    return from_coefficients(p.vars, _content_free(coeffs))
+        coeffs = _pdivmod(coeffs, g)[0]
+    return from_coefficients(p.vars, coeffs if coeffs[-1] > 0 else [-c for c in coeffs])
 
 
 # ---- real root isolation (Sturm chains + bisection) ----
@@ -141,37 +129,38 @@ class RootInterval:
         return float(self.midpoint())
 
 
-def _normalize_signs(coeffs: list[Fraction]) -> list[Fraction]:
-    # positive rescaling keeps every sign; bounds coefficient growth
-    m = max(abs(c) for c in coeffs)
-    return [c / m for c in coeffs]
+def _signs(polys: Sequence[Sequence[int]], x: Fraction) -> list[int]:
+    """Sign of p(x) for each p: with x = n/d, d > 0, the sign of the integer
+    sum of c_i n^i d^(deg-i)."""
+    n, d = x.numerator, x.denominator
+    dpow = [1]
+    for _ in range(max(map(len, polys)) - 1):
+        dpow.append(dpow[-1] * d)
+    out = []
+    for p in polys:
+        top = len(p) - 1
+        acc = p[top]
+        for i in range(top - 1, -1, -1):
+            acc = acc * n + p[i] * dpow[top - i]
+        out.append((acc > 0) - (acc < 0))
+    return out
 
 
-def _sturm_chain(coeffs: Sequence[Fraction]) -> list[list[Fraction]]:
-    chain = [_normalize_signs(_trim(list(coeffs)))]
-    d = _derivative(chain[0])
-    if _trim(list(d)):
-        chain.append(_normalize_signs(d))
-        while len(chain[-1]) > 1:
-            _, r = _divmod(chain[-2], chain[-1])
-            if not r:
-                break
-            chain.append(_normalize_signs([-c for c in r]))
+def _sturm_chain(coeffs: list[int]) -> list[list[int]]:
+    """p, p', then -rem of the last two: each a positive multiple of the
+    textbook element, so every sign is the textbook one."""
+    chain = [coeffs, _primitive(_derivative(coeffs))]
+    while len(chain[-1]) > 1:
+        r = _pdivmod(chain[-2], chain[-1])[1]
+        if not r:
+            break
+        chain.append(_primitive([-c for c in r]))
     return chain
 
 
-def _variations(chain: Sequence[Sequence[Fraction]], x: Fraction) -> int:
-    signs = []
-    for coeffs in chain:
-        v = _eval(coeffs, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _cauchy_bound(coeffs: Sequence[Fraction]) -> Fraction:
-    lead = abs(coeffs[-1])
-    return 1 + max(abs(c) for c in coeffs[:-1]) / lead if len(coeffs) > 1 else Fraction(1)
+def _variations(signs: Sequence[int]) -> int:
+    nonzero = [s for s in signs if s]
+    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
 
 
 def isolate_real_roots(p: Poly) -> list[RootInterval]:
@@ -180,13 +169,14 @@ def isolate_real_roots(p: Poly) -> list[RootInterval]:
     p must be squarefree; callers holding anything else pass its
     `squarefree_part`.
     """
-    coeffs = to_coefficients(p)
+    coeffs = _integer_coefficients(p)
     if not coeffs:
         raise UnivariateError("roots of the zero polynomial")
     if len(coeffs) == 1:
         return []
     chain = _sturm_chain(coeffs)
-    bound = _cauchy_bound(coeffs) + 1  # strictly beyond every root
+    # Cauchy bound, plus 1 to lie strictly beyond every root
+    bound = Fraction(max(abs(c) for c in coeffs[:-1]), abs(coeffs[-1])) + 2
     out: list[RootInterval] = []
 
     def recurse(lo: Fraction, hi: Fraction, vlo: int, vhi: int) -> None:
@@ -195,29 +185,28 @@ def isolate_real_roots(p: Poly) -> list[RootInterval]:
         if count == 0:
             return
         if count == 1:
-            a, b = lo, hi
             # shrink until neither endpoint is the root itself, then report
             # a clean open interval (or an exact rational root on a hit)
+            if _signs([coeffs], hi)[0] == 0:
+                out.append(RootInterval(hi, hi))
+                return
             while True:
-                if _eval(coeffs, b) == 0:
-                    out.append(RootInterval(b, b))
-                    return
-                mid = (a + b) / 2
-                if _eval(coeffs, mid) == 0:
+                mid = (lo + hi) / 2
+                signs = _signs(chain, mid)
+                if signs[0] == 0:
                     out.append(RootInterval(mid, mid))
                     return
-                vmid = _variations(chain, mid)
+                vmid = _variations(signs)
                 if vlo - vmid == 1:
-                    b, vhi = mid, vmid
-                    out.append(RootInterval(a, b))
+                    out.append(RootInterval(lo, mid))
                     return
-                a, vlo = mid, vmid
+                lo, vlo = mid, vmid
         mid = (lo + hi) / 2
-        vmid = _variations(chain, mid)
+        vmid = _variations(_signs(chain, mid))
         recurse(lo, mid, vlo, vmid)
         recurse(mid, hi, vmid, vhi)
 
-    recurse(-bound, bound, _variations(chain, -bound), _variations(chain, bound))
+    recurse(-bound, bound, _variations(_signs(chain, -bound)), _variations(_signs(chain, bound)))
     out.sort(key=lambda r: (r.lo, r.hi))
     return out
 
@@ -229,12 +218,12 @@ def refine_interval(p: Poly, interval: RootInterval, width: Fraction) -> RootInt
     the isolated root to be simple."""
     if interval.exact:
         return interval
-    coeffs = to_coefficients(p)
+    coeffs = [_integer_coefficients(p)]
     lo, hi = interval.lo, interval.hi
-    shi = _eval(coeffs, hi)
+    (shi,) = _signs(coeffs, hi)
     if shi == 0:
         return RootInterval(hi, hi)
-    slo = _eval(coeffs, lo)
+    (slo,) = _signs(coeffs, lo)
     if slo == 0:
         # lo is an adjacent root, not the isolated one: the target root r
         # is interior or equals hi, the sign is constant on (lo, r) and
@@ -242,19 +231,19 @@ def refine_interval(p: Poly, interval: RootInterval, width: Fraction) -> RootInt
         # that sign shows up, then bracket as usual
         while True:
             probe = (lo + hi) / 2
-            s = _eval(coeffs, probe)
+            (s,) = _signs(coeffs, probe)
             if s == 0:
                 return RootInterval(probe, probe)
-            if (s > 0) != (shi > 0):
+            if s != shi:
                 lo, slo = probe, s
                 break
             hi, shi = probe, s
     while hi - lo > width:
         mid = (lo + hi) / 2
-        smid = _eval(coeffs, mid)
+        (smid,) = _signs(coeffs, mid)
         if smid == 0:
             return RootInterval(mid, mid)
-        if (slo > 0) == (smid > 0):
+        if slo == smid:
             lo, slo = mid, smid
         else:
             hi = mid
@@ -283,6 +272,11 @@ def approx_complex_roots(p: Poly, tol: float = 1e-10) -> list[ComplexRoot]:
         raise UnivariateError("roots of the zero polynomial")
     if len(coeffs) == 1:
         return []
+    # float() overflows from 2^1024: scale larger coefficients exactly by a
+    # power of two first (every |c| < 2^1001 is left as it is)
+    excess = max(c.numerator.bit_length() - c.denominator.bit_length() for c in coeffs) - 1000
+    if excess > 0:
+        coeffs = [c / (1 << excess) for c in coeffs]
     cf = np.array([float(c) for c in coeffs], dtype=np.float64)
     scale = float(np.max(np.abs(cf)))
     cf /= scale

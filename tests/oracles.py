@@ -12,15 +12,22 @@ level from the arc coordinates, the reference for the package's integer
 kernel `arcs.ArcPowers`; `series_product` multiplies two of the kernel's
 integer series, and `substitution_product` reads p(x(t)) * q(x(t)) off
 that product.
+
+Univariate kernel: `reference_squarefree_part`, `reference_isolate_real_roots`
+and `reference_refine_interval` are the package's earlier Fraction-arithmetic
+squarefree part, Sturm isolation and bisection refinement, the reference for
+the integer kernel in `critvals.univariate`.
 """
 
+import math
 from fractions import Fraction
+from typing import Sequence
 
 import sympy
 
 from critvals.arcs import ArcPowers, ArcShape
 from critvals.poly import Poly
-from critvals.univariate import to_coefficients
+from critvals.univariate import RootInterval, from_coefficients, to_coefficients
 
 
 def to_sympy(p: Poly, symbols):
@@ -154,3 +161,164 @@ def substitution_product(p: Poly, q: Poly, shape: ArcShape) -> dict[int, Poly]:
     product = series_product(sp, sq)
     coeffs = ((k, powers.coefficient(product, den_p * den_q, k)) for k in product)
     return {k: c for k, c in coeffs if not c.is_zero()}
+
+
+# ---- univariate references: exact Fraction arithmetic throughout ----
+
+
+def _trim(coeffs: list[Fraction]) -> list[Fraction]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _derivative(coeffs: Sequence[Fraction]) -> list[Fraction]:
+    return [c * i for i, c in enumerate(coeffs)][1:]
+
+
+def _divmod(num: Sequence[Fraction], den: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    rem = list(num)
+    quot = [Fraction(0)] * max(0, len(rem) - len(den) + 1)
+    lead = den[-1]
+    for shift in range(len(rem) - len(den), -1, -1):
+        q = rem[shift + len(den) - 1] / lead
+        if q:
+            quot[shift] = q
+            for i, d in enumerate(den):
+                rem[shift + i] -= q * d
+    return quot, _trim(rem)
+
+
+def _gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    """Monic gcd by the Euclidean algorithm."""
+    fa, fb = _trim(list(a)), _trim(list(b))
+    while fb:
+        fa, fb = fb, _divmod(fa, fb)[1]
+    return [c / fa[-1] for c in fa] if fa else []
+
+
+def _content_free(coeffs: Sequence[Fraction]) -> list[Fraction]:
+    """Scale to coprime integer coefficients with positive leading one."""
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (lcm // c.denominator) for c in coeffs]
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    return [Fraction(v // g) for v in ints]
+
+
+def reference_squarefree_part(p: Poly) -> Poly:
+    """p / gcd(p, p'), content-free with positive leading coefficient."""
+    coeffs = to_coefficients(p)
+    if len(coeffs) == 1:
+        return Poly.const(p.vars, 1)
+    g = _gcd(coeffs, _derivative(coeffs))
+    if len(g) > 1:
+        coeffs, _ = _divmod(coeffs, g)
+    return from_coefficients(p.vars, _content_free(coeffs))
+
+
+def _normalize_signs(coeffs: list[Fraction]) -> list[Fraction]:
+    m = max(abs(c) for c in coeffs)
+    return [c / m for c in coeffs]
+
+
+def _sturm_chain(coeffs: Sequence[Fraction]) -> list[list[Fraction]]:
+    chain = [_normalize_signs(_trim(list(coeffs)))]
+    d = _derivative(chain[0])
+    if _trim(list(d)):
+        chain.append(_normalize_signs(d))
+        while len(chain[-1]) > 1:
+            _, r = _divmod(chain[-2], chain[-1])
+            if not r:
+                break
+            chain.append(_normalize_signs([-c for c in r]))
+    return chain
+
+
+def _variations(chain: Sequence[Sequence[Fraction]], x: Fraction) -> int:
+    signs = []
+    for coeffs in chain:
+        v = _eval(coeffs, x)
+        if v:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def reference_isolate_real_roots(p: Poly) -> list[RootInterval]:
+    """Sturm isolation of a squarefree p over Fractions: bisection of the
+    Cauchy bound + 1 until each interval holds one root."""
+    coeffs = to_coefficients(p)
+    if len(coeffs) == 1:
+        return []
+    chain = _sturm_chain(coeffs)
+    bound = 2 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
+    out: list[RootInterval] = []
+
+    def recurse(lo: Fraction, hi: Fraction, vlo: int, vhi: int) -> None:
+        count = vlo - vhi
+        if count == 0:
+            return
+        if count == 1:
+            a, b = lo, hi
+            while True:
+                if _eval(coeffs, b) == 0:
+                    out.append(RootInterval(b, b))
+                    return
+                mid = (a + b) / 2
+                if _eval(coeffs, mid) == 0:
+                    out.append(RootInterval(mid, mid))
+                    return
+                vmid = _variations(chain, mid)
+                if vlo - vmid == 1:
+                    out.append(RootInterval(a, mid))
+                    return
+                a, vlo = mid, vmid
+        mid = (lo + hi) / 2
+        vmid = _variations(chain, mid)
+        recurse(lo, mid, vlo, vmid)
+        recurse(mid, hi, vmid, vhi)
+
+    recurse(-bound, bound, _variations(chain, -bound), _variations(chain, bound))
+    out.sort(key=lambda r: (r.lo, r.hi))
+    return out
+
+
+def reference_refine_interval(p: Poly, interval: RootInterval, width: Fraction) -> RootInterval:
+    """Bisection of an isolating interval of a squarefree p below `width`;
+    an adjacent root at lo is walked away from first."""
+    if interval.exact:
+        return interval
+    coeffs = to_coefficients(p)
+    lo, hi = interval.lo, interval.hi
+    shi = _eval(coeffs, hi)
+    if shi == 0:
+        return RootInterval(hi, hi)
+    slo = _eval(coeffs, lo)
+    if slo == 0:
+        while True:
+            probe = (lo + hi) / 2
+            s = _eval(coeffs, probe)
+            if s == 0:
+                return RootInterval(probe, probe)
+            if (s > 0) != (shi > 0):
+                lo, slo = probe, s
+                break
+            hi, shi = probe, s
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        smid = _eval(coeffs, mid)
+        if smid == 0:
+            return RootInterval(mid, mid)
+        if (slo > 0) == (smid > 0):
+            lo, slo = mid, smid
+        else:
+            hi = mid
+    return RootInterval(lo, hi)

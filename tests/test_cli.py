@@ -8,6 +8,7 @@ import pytest
 
 from critvals import cli
 from critvals.cli import GuardRefusal, RunConfig, UsageError, run
+from critvals.poly import VarTable, parse_poly
 from critvals.solve import InternalInvariantError
 
 # K0 of the folium takes more than one Buchberger pair
@@ -57,6 +58,18 @@ class TestSpecExamples:
         approxes = [r["approx"] for r in result["real_roots"]]
         assert len(approxes) == 2
         assert abs(approxes[0] + 2) < 1e-9 and abs(approxes[1] - 2) < 1e-9
+
+    def test_k0_with_eliminant_beyond_float_range(self, capsys):
+        # the eliminant has coefficients above 2^1024: the complex roots are
+        # still approximated and certified
+        code, doc = run_json(capsys, f"{10**200}*x^3 + x^2 - x + 1", "--vars", "x", "--set", "k0")
+        assert code == 0
+        result = doc["results"]["k0"]
+        eliminant = parse_poly(result["eliminant"], VarTable(("y",)))
+        assert max(abs(c) for _, c in eliminant.terms()) > 2**1024
+        roots = result["complex_roots"]
+        assert [(r["re"], r["im"]) for r in roots] == [(1.0, 0.0), (1.0, 0.0)]
+        assert all(r["residual"] < 1e-10 for r in roots)
 
 
 class TestSchema:

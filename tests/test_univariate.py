@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from critvals.poly import Poly, VarTable, parse_poly
@@ -17,6 +17,7 @@ from critvals.univariate import (
     squarefree_part,
     to_coefficients,
 )
+from oracles import reference_isolate_real_roots, reference_refine_interval, reference_squarefree_part
 
 Y = VarTable(("y",))
 
@@ -97,7 +98,9 @@ class TestRealRootIsolation:
         # exactly at the adjacent root 0, which must not be returned
         p = P("y^3 - 2*y")
         width = Fraction(1, 10**9)
-        refined = [refine_interval(p, r, width) for r in isolate_real_roots(p)]
+        intervals = isolate_real_roots(p)
+        assert RootInterval(Fraction(0), Fraction(2)) in intervals
+        refined = [refine_interval(p, r, width) for r in intervals]
         vals = [r.approx() for r in refined]
         assert len(vals) == 3
         for got, want in zip(vals, (-(2**0.5), 0.0, 2**0.5)):
@@ -126,6 +129,12 @@ class TestComplexRoots:
 
     def test_constant_has_no_roots(self):
         assert approx_complex_roots(P("3")) == []
+
+    def test_coefficients_beyond_float_range(self):
+        # 2^1100 overflows float(): the coefficients are scaled first
+        roots = approx_complex_roots(P(f"{2**1100}*y^2 - {2**1100}*y + {2**1101}"))
+        got = sorted((round(r.re, 8), round(r.im, 8)) for r in roots)
+        assert got == [(0.5, round(-(7**0.5) / 2, 8)), (0.5, round(7**0.5 / 2, 8))]
 
 
 # ---- property tests against constructed factorizations ----
@@ -173,3 +182,52 @@ def test_squarefree_drops_multiplicities(data):
         assert sf.eval_exact((r,)) == 0
     # squarefree: gcd(sf, sf') is constant, checked via isolation count
     assert len(isolate_real_roots(sf)) == len(roots)
+
+
+# ---- the integer kernel against the Fraction reference in tests/oracles.py ----
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A rational multiple of: linear factors with dyadic and other rational
+    roots (repeated ones too), an optional y^2 - k (irrational roots next to
+    rational ones) and a dense factor, sometimes all taken at y^2.  Degree
+    at most 16 with coefficients up to 2^64, or at most 8 with coefficients
+    up to about 2^1000: at degree 16 and 2^1000 the reference takes seconds."""
+    bits, top = draw(st.sampled_from([(3, 16), (64, 16), (1000, 8)]))
+    even = draw(st.booleans())  # p(y^2): its Sturm chain skips degrees
+    top //= 1 + even
+    y = Poly.variable(Y, 0)
+    rationals = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 4, 8, 3, 5]))
+    p = Poly.const(Y, 1)
+    for r in draw(st.lists(rationals, max_size=top // 4)):
+        p = p * (y - Poly.const(Y, r)) ** draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        p = p * (y * y - Poly.const(Y, draw(st.sampled_from([2, 3, 5]))))
+    # nonzero coefficients of one size keep the dense factor's roots near 1
+    # in magnitude: a root near 2^-1000 or 2^1000 costs a thousand bisections
+    size = st.integers(2 ** (bits - 1), 2**bits)
+    dense = draw(st.lists(st.builds(lambda s, m: s * m, st.sampled_from([-1, 0, 1]), size), max_size=top - p.total_degree()))
+    dense.append(draw(st.sampled_from([1, -1])) * draw(size))
+    p = p * Poly(Y, {(i,): Fraction(c) for i, c in enumerate(dense) if c})
+    if even:
+        p = Poly(Y, {(2 * mono[0],): c for mono, c in p.terms()})
+    scale = Fraction(draw(st.integers(1, 2**bits)), draw(st.integers(1, 1000)))
+    return p * Poly.const(Y, -scale if draw(st.booleans()) else scale)
+
+
+widths = st.one_of(st.just(Fraction(1, 10**12)), st.builds(lambda k: Fraction(1, 2**k), st.integers(0, 60)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(kernel_inputs(), widths)
+@example(P("y^3 - 2*y"), Fraction(1, 10**12))  # the interval of sqrt(2) starts at the root 0
+@example(P("y*(2*y - 1)*(4*y + 3)*(y^2 - 2)"), Fraction(1, 2**40))
+def test_integer_kernel_matches_fraction_reference(p, width):
+    sf = squarefree_part(p)
+    assert sf == reference_squarefree_part(p)
+    intervals = isolate_real_roots(sf)
+    assert intervals == reference_isolate_real_roots(sf)
+    for interval in intervals:
+        assert refine_interval(sf, interval, width) == reference_refine_interval(sf, interval, width)
+
