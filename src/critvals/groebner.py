@@ -1,5 +1,6 @@
-"""Buchberger's algorithm, exact over the rationals, and the block orders
-that elimination uses.
+"""Buchberger's algorithm, exact over the rationals, the block orders that
+elimination uses, and the minimal polynomial of a multiplication map on a
+zero-dimensional quotient.
 
 The kernel is order-native.  On entry every monomial is encoded once by the
 term order into a tuple whose natural tuple order is the term order:
@@ -22,7 +23,11 @@ encodings, so the heap's minimum is the leading monomial; monomials that
 cancelled are skipped when they surface).  Each basis entry keeps its
 leading exponents and a support bitmask, and the reducer scan skips an entry
 by mask before it compares exponents.  Top reduction and full normal form
-share the same step; both check the clock every 32 steps.
+share the same step; both check the clock every 32 steps.  Full normal form
+also tracks the positive rational factor its steps and content stripping
+scale the result by, so `normal_form` is exact and the Krylov sequence of
+`minimal_polynomial` (v_k = NF(p * v_(k-1)), as in FGLM: Faugere, Gianni,
+Lazard, Mora, JSC 1993) stays on integer dicts.
 
 Pair selection is the normal strategy refined by sugar degree: pairs wait in
 a heap keyed (sugar, encoded lcm, i, j), computed once when the pair is
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import chain, compress
 from operator import add, itemgetter, le, neg, sub
 from typing import Callable, Literal, Sequence
 
@@ -234,21 +239,25 @@ def _support(exps: Mono, bits: Sequence[int]) -> int:
 # ---- integer term dicts on encoded monomials ----
 
 
-def _encode_poly(p: Poly, order: TermOrder) -> dict[Mono, int]:
-    """Encoded monomials, denominators cleared, content stripped."""
+def _encode_poly(p: Poly, order: TermOrder) -> tuple[dict[Mono, int], Fraction]:
+    """Encoded monomials, denominators cleared, content stripped; and the
+    positive factor s of the result = s * p.  p must be nonzero."""
     lcm = 1
     for _, c in p.terms():
         lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
     out = {order.encode(m): int(c * lcm) for m, c in p.terms()}
-    _strip_content(out)
-    return out
+    return out, Fraction(lcm, _strip_content(out))
 
 
-def _strip_content(f: dict[Mono, int]) -> None:
-    g = math.gcd(*f.values())
+def _strip_content(*fs: dict) -> int:
+    """Divide out the joint content of the dicts' values in place and
+    return it (0 if all are empty)."""
+    g = math.gcd(*chain.from_iterable(f.values() for f in fs))
     if g > 1:
-        for m in f:
-            f[m] //= g
+        for f in fs:
+            for m in f:
+                f[m] //= g
+    return g
 
 
 def _to_poly(f: dict[Mono, int], vars: VarTable, order: TermOrder) -> Poly:
@@ -381,11 +390,16 @@ class _Run:
                 self.check_clock()
         return None
 
-    def normal_form(self, work: dict[Mono, int], reducers: list[_Entry]) -> dict[Mono, int]:
-        """Fully reduce every term of work (consumed); content-free result."""
+    def normal_form(
+        self, work: dict[Mono, int], reducers: list[_Entry]
+    ) -> tuple[dict[Mono, int], Fraction]:
+        """Fully reduce every term of work (consumed).  Returns the
+        content-free result and the positive factor s by which the
+        fraction-free steps scaled it: result = s * (exact normal form)."""
         heap = _lead_heap(work)
         decode, bits = self.order.decode, self.bits
         done: dict[Mono, int] = {}
+        scale, pending = Fraction(1), 1  # pending: multipliers not yet in scale
         steps = 0
         while work:
             lm = _pop_lead(work, heap)
@@ -396,19 +410,15 @@ class _Run:
                 continue
             a = _reduce_step(work, heap, lm, reducer)
             if a != 1:
+                pending *= a
                 for m in done:
                     done[m] *= a
             steps += 1
             if steps % 32 == 0:
-                joint = math.gcd(*done.values(), *work.values())
-                if joint > 1:
-                    for f in (done, work):
-                        for m in f:
-                            f[m] //= joint
+                scale *= Fraction(pending, _strip_content(done, work) or 1)
+                pending = 1
                 self.check_clock()
-        if done:
-            _strip_content(done)
-        return done
+        return done, scale * Fraction(pending, _strip_content(done) or 1)
 
     def add(self, entry: _Entry) -> None:
         """Gebauer-Moeller pair update: prune old pairs by the chain
@@ -487,7 +497,7 @@ def buchberger(ideal: Ideal, limits: ResourceLimits | None = None) -> GroebnerBa
     basis = run.basis
 
     for g in ideal.generators:
-        f = _encode_poly(g, order)
+        f, _ = _encode_poly(g, order)
         lm = run.top_reduce(f)
         if lm is not None:
             run.check_room()
@@ -524,7 +534,7 @@ def buchberger(ideal: Ideal, limits: ResourceLimits | None = None) -> GroebnerBa
     reduced: list[tuple[Mono, dict[Mono, int]]] = []
     for k, entry in enumerate(minimal):
         others = minimal[:k] + minimal[k + 1 :]
-        nf = run.normal_form(entry.poly(), others)
+        nf, _ = run.normal_form(entry.poly(), others)
         _positive_lead(nf)
         reduced.append((entry.lm, nf))
 
@@ -532,16 +542,95 @@ def buchberger(ideal: Ideal, limits: ResourceLimits | None = None) -> GroebnerBa
     return GroebnerBasis(tuple(_to_poly(f, vars, order) for _, f in reduced), order)
 
 
+def _reducers(gb: GroebnerBasis, run: _Run) -> list[_Entry]:
+    out = []
+    for g in gb.basis:
+        f, _ = _encode_poly(g, run.order)
+        out.append(_Entry(f, max(f), run, 0))
+    return out
+
+
 def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
-    """Full normal form of p modulo the basis (zero iff p is in the ideal)."""
+    """Normal form of p modulo the basis, exactly: the remainder of full
+    reduction, zero iff p is in the ideal."""
     if p.is_zero():
         return p
     order = gb.order
     run = _Run(order, ResourceLimits())
-    entries = []
-    for g in gb.basis:
-        f = _encode_poly(g, order)
-        entries.append(_Entry(f, max(f), run, 0))
-    nf = run.normal_form(_encode_poly(p, order), entries)
-    _positive_lead(nf)
-    return _to_poly(nf, p.vars, order)
+    work, scale = _encode_poly(p, order)
+    nf, s = run.normal_form(work, _reducers(gb, run))
+    scale *= s
+    return Poly(p.vars, {order.decode(m): c / scale for m, c in nf.items()})
+
+
+def minimal_polynomial(
+    p: Poly, gb: GroebnerBasis, out: VarTable, limits: ResourceLimits | None = None
+) -> Poly | None:
+    """Monic minimal polynomial, over the one-variable table `out`, of
+    multiplication by p on Q[x]/<gb>; the constant 1 for the unit ideal,
+    and None unless the ideal is zero-dimensional (some leading monomial
+    is 1, or every variable has a pure-power leading monomial).
+
+    The Krylov sequence v_0 = NF(1), v_k = NF(p * v_(k-1)) runs on integer
+    dicts, each vector kept as s_k * v_k with s_k > 0 tracked exactly, until
+    the first linear dependence; a fraction-free echelon keyed by leading
+    monomial finds it.  The loop shares the run's clock, and
+    max_coefficient_bits holds for every Krylov vector."""
+    order = gb.order
+    limits = limits or ResourceLimits()
+    run = _Run(order, limits)
+    reducers = _reducers(gb, run)
+    pure = {e.mask for e in reducers if not e.mask & (e.mask - 1)}
+    if 0 not in pure and len(pure) < len(run.bits):
+        return None
+    mult, alpha = _encode_poly(p, order)
+    vec, scale = run.normal_form({order.encode((0,) * len(run.bits)): 1}, reducers)
+    scales: list[Fraction] = []  # vector k is scales[k] * v_k
+    rows: dict[Mono, tuple[dict[Mono, int], dict[int, int]]] = {}  # pivot -> (row, combination)
+    while True:
+        k = len(scales)
+        scales.append(scale)
+        bits = max((c.bit_length() for c in vec.values()), default=0)
+        if bits > limits.max_coefficient_bits:
+            raise LimitExceeded("max_coefficient_bits", f"Krylov vector {k} reached {bits} bits")
+        row, comb = dict(vec), {k: 1}
+        while row and (pivot := max(row)) in rows:
+            _eliminate(row, comb, pivot, *rows[pivot])
+        if not row:
+            break
+        rows[pivot] = (row, comb)
+        vec, s = run.normal_form(_product(mult, vec), reducers)
+        scale *= alpha * s
+        run.check_clock()
+    # sum comb[j] * scales[j] * v_j = 0, and comb[k] != 0 since v_0..v_(k-1) are independent
+    lead = comb[k] * scales[k]
+    return Poly(out, {(j,): c * scales[j] / lead for j, c in comb.items()})
+
+
+def _product(f: dict[Mono, int], g: dict[Mono, int]) -> dict[Mono, int]:
+    out: dict[Mono, int] = {}
+    get = out.get
+    for m, c in f.items():
+        for n, d in g.items():
+            key = tuple(map(add, m, n))
+            out[key] = get(key, 0) + c * d
+    return {m: c for m, c in out.items() if c}
+
+
+def _eliminate(
+    row: dict[Mono, int], comb: dict[int, int], pivot: Mono, prow: dict[Mono, int], pcomb: dict[int, int]
+) -> None:
+    """row <- a*row - b*prow cancelling the pivot, comb <- a*comb - b*pcomb,
+    both in place; then their joint content is divided out."""
+    g = math.gcd(row[pivot], prow[pivot])
+    a, b = prow[pivot] // g, row[pivot] // g
+    for f, fp in ((row, prow), (comb, pcomb)):
+        for m in f:
+            f[m] *= a
+        for m, c in fp.items():
+            v = f.get(m, 0) - b * c
+            if v:
+                f[m] = v
+            else:
+                f.pop(m, None)
+    _strip_content(row, comb)

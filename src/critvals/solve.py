@@ -1,13 +1,13 @@
 """Critical-value computations: K0, Kinf, K, and the non-properness set.
 
-Every computation is the same move, made by one routine
+Every elimination is the same move, made by one routine
 (`_eliminate_images`): adjoin image variables pinned to the relevant
 polynomials, eliminate everything else with a block order, and keep the
 basis elements in the image variables alone.  K0, Kinf and K then read
 their value set off the univariate eliminant.  For a finite image this
 computes the image of the variety exactly.
 
-  K0:   eliminate x from <grad f, y - f>
+  K0:   eliminate x from <grad f, y - f> (see below)
   Kinf: eliminate arc variables from <BV system, y - c0>
   K:    eliminate arc variables from <GBV system, y - c0>
   S_F:  eliminate arc variables from <AV system, y_l - c0_l>
@@ -15,7 +15,16 @@ computes the image of the variety exactly.
 Kinf and K first presolve their arc system into branches (see `presolve`)
 and eliminate each; only the variety matters for a squarefree eliminant.
 K0 has no arc structure to presolve, and S_F reports its ideal, not its
-radical, so both eliminate their system as built.
+radical, so neither is presolved.
+
+K0 usually skips the block elimination.  When the critical locus is
+finite, <grad f> is zero-dimensional and the eliminant is the minimal
+polynomial of multiplication by f on Q[x]/<grad f> (Stickelberger's
+theorem; Cox-Little-O'Shea, Using Algebraic Geometry, ch. 2 s. 4): a
+grevlex basis of the gradient ideal in the original variables plus a
+Krylov sequence of normal forms (`groebner.minimal_polynomial`), the
+linear-algebra step FGLM also uses.  Only a critical locus that is not
+finite takes the block elimination above.
 
 K0 elimination is exact.  Arc-based eliminations are exact at paper
 bounds; at user bounds the root set is sound (a subset of the true value
@@ -25,8 +34,9 @@ set), and results carry a completeness flag saying which.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .arcs import ArcShape
 from .groebner import (
@@ -36,6 +46,7 @@ from .groebner import (
     block_elim_order,
     buchberger,
     grevlex_order,
+    minimal_polynomial,
 )
 from .poly import Poly, VarTable, remap_variables
 from .presolve import presolve
@@ -69,9 +80,12 @@ class InternalInvariantError(Exception):
 class Diagnostics:
     """Sizes of the eliminated systems, image variables and pins included.
 
-    For a presolved Kinf/K system: variable_count is the largest arity of
-    an eliminated branch, generator_count and basis_size are summed over
-    the branches, and all three are 0 when no branch reaches Buchberger."""
+    For K0 with a finite critical locus no system is eliminated: the counts
+    are n, the number of nonzero partials and the size of their grevlex
+    basis.  For a presolved Kinf/K system: variable_count is the largest
+    arity of an eliminated branch, generator_count and basis_size are
+    summed over the branches, and all three are 0 when no branch reaches
+    Buchberger."""
 
     variable_count: int
     generator_count: int
@@ -189,18 +203,54 @@ def _value_set(
     )
 
 
+@contextmanager
+def _one_budget(limits: ResourceLimits | None) -> Iterator[Callable[[], ResourceLimits]]:
+    """One wall-clock budget, started now, over every limited call inside.
+
+    Yields `left()`: the limits with what remains of the budget, raising
+    once it is spent.  A trip anywhere inside reads
+    `wall_clock_budget: exceeded {budget}s`."""
+    limits = limits or ResourceLimits()
+    budget = limits.wall_clock_budget
+    start = time.monotonic()
+
+    def left() -> ResourceLimits:
+        rest = budget - (time.monotonic() - start)
+        if rest <= 0:
+            raise LimitExceeded("wall_clock_budget", f"exceeded {budget}s")
+        return replace(limits, wall_clock_budget=rest)
+
+    try:
+        yield left
+    except LimitExceeded as e:
+        if e.which != "wall_clock_budget":
+            raise
+        raise LimitExceeded(e.which, f"exceeded {budget}s") from e
+
+
 def compute_k0(
     f: Poly, limits: ResourceLimits | None = None, root_tol: float = 1e-10
 ) -> UnivariateResult:
-    """Critical values of f: eliminate x from <grad f, y - f>.
+    """Critical values of f: the generator of <grad f, y - f> meet Q[y].
 
-    Complex-complete regardless of any arc shape; the real-root sublist is
-    K0 restricted to real critical points.
+    When the gradient ideal I is zero-dimensional, that generator is the
+    minimal polynomial of multiplication by f on Q[x]/I (Stickelberger),
+    read off a grevlex basis of I; otherwise x is eliminated from
+    <grad f, y - f> with a block order.  One wall-clock budget covers
+    both.  Complex-complete regardless of any arc shape; the real-root
+    sublist is K0 restricted to real critical points.
     """
     if f.total_degree() <= 0:
         raise SolveError("constant polynomial has no critical values")
-    grads = [g for g in (f.partial_derivative(j) for j in range(f.vars.arity)) if not g.is_zero()]
-    eliminant, diagnostics = _eliminant(grads, f, limits)
+    n = f.vars.arity
+    grads = [g for g in (f.partial_derivative(j) for j in range(n)) if not g.is_zero()]
+    with _one_budget(limits) as left:
+        gb = buchberger(Ideal(tuple(grads), grevlex_order(n)), left())
+        eliminant = minimal_polynomial(f, gb, Y_TABLE, left())
+        if eliminant is None:
+            eliminant, diagnostics = _eliminant(grads, f, left())
+        else:
+            diagnostics = Diagnostics(n, len(grads), len(gb.basis))
     return _value_set(eliminant, EXACT, diagnostics, root_tol)
 
 
@@ -215,39 +265,23 @@ def _image_of_c0(
     One wall-clock budget covers the presolve and every branch's Buchberger
     run; a trip says `wall_clock_budget: exceeded {budget}s` wherever it
     happens."""
-    limits = limits or ResourceLimits()
-    budget = limits.wall_clock_budget
-    start = time.monotonic()
-
-    def remaining() -> float:
-        left = budget - (time.monotonic() - start)
-        if left <= 0:
-            raise LimitExceeded("wall_clock_budget", f"exceeded {budget}s")
-        return left
-
     product = Poly.const(Y_TABLE, 1)
     widest = generator_count = basis_size = 0
-    for generators, c0 in presolve(sys.generators, sys.c0[0], remaining):
-        if not generators:
-            if not c0.is_constant():
-                raise InternalInvariantError(
-                    "a presolved branch has no equations left but a non-constant c0; "
-                    "its value set would be infinite"
-                )
-            factor = Poly.variable(Y_TABLE, 0) - Poly.const(Y_TABLE, c0.constant_value())
-        else:
-            try:
-                factor, d = _eliminant(
-                    generators, c0, replace(limits, wall_clock_budget=remaining())
-                )
-            except LimitExceeded as e:
-                if e.which != "wall_clock_budget":
-                    raise
-                raise LimitExceeded(e.which, f"exceeded {budget}s") from e
-            widest = max(widest, d.variable_count)
-            generator_count += d.generator_count
-            basis_size += d.basis_size
-        product = product * factor
+    with _one_budget(limits) as left:
+        for generators, c0 in presolve(sys.generators, sys.c0[0], left):
+            if not generators:
+                if not c0.is_constant():
+                    raise InternalInvariantError(
+                        "a presolved branch has no equations left but a non-constant c0; "
+                        "its value set would be infinite"
+                    )
+                factor = Poly.variable(Y_TABLE, 0) - Poly.const(Y_TABLE, c0.constant_value())
+            else:
+                factor, d = _eliminant(generators, c0, left())
+                widest = max(widest, d.variable_count)
+                generator_count += d.generator_count
+                basis_size += d.basis_size
+            product = product * factor
     completeness = COMPLETE if sys.shape.bound_source == "paper" else SOUND_ONLY
     diagnostics = Diagnostics(widest, generator_count, basis_size)
     return _value_set(product, completeness, diagnostics, root_tol)

@@ -11,8 +11,8 @@ from critvals.cli import GuardRefusal, RunConfig, UsageError, run
 from critvals.poly import VarTable, parse_poly
 from critvals.solve import InternalInvariantError
 
-# K0 of the folium takes more than one Buchberger pair
-FOLIUM = "x^3 - 3*x*y + y^3"
+# K0 of this one runs Buchberger on a gradient ideal with S-pairs to process
+PAIRED_K0 = "x^2*y^2 + x^3 + y^3"
 
 
 def run_main(capsys, *argv):
@@ -150,8 +150,9 @@ class TestExitCodes:
         assert doc["error"]["type"] == "ParseError"
 
     def test_limit_exceeded_is_3(self, capsys):
-        # an arc run at a small shape may presolve to no Buchberger run at all
-        code, doc = run_json(capsys, FOLIUM, "--set", "k0", "--max-pairs", "1")
+        # an arc run at a small shape may presolve to no Buchberger run at
+        # all, and the folium's gradient basis has no pairs; this one's has
+        code, doc = run_json(capsys, PAIRED_K0, "--set", "k0", "--max-pairs", "1")
         assert code == 3
         assert doc["error"]["type"] == "LimitExceeded"
 
@@ -229,12 +230,12 @@ class TestConfigValidation:
 class TestLimitsEnvVar:
     def test_env_default_applies(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.LIMITS_ENV_VAR, "max_pairs=1")
-        code, doc = run_json(capsys, FOLIUM, "--set", "k0")
+        code, doc = run_json(capsys, PAIRED_K0, "--set", "k0")
         assert code == 3 and doc["error"]["type"] == "LimitExceeded"
 
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.LIMITS_ENV_VAR, "max_pairs=1")
-        code, doc = run_json(capsys, FOLIUM, "--set", "k0", "--max-pairs", "100000")
+        code, doc = run_json(capsys, PAIRED_K0, "--set", "k0", "--max-pairs", "100000")
         assert code == 0
         assert doc["config"]["limits"]["max_pairs"] == 100000
 
@@ -350,3 +351,27 @@ def test_k0_run_takes_one_squarefree_part(capsys, monkeypatch):
     assert code == 0
     assert doc["results"]["k0"]["eliminant"] == "y^2 - 4"
     assert len(calls) == 1
+
+
+def test_finite_critical_locus_takes_one_grevlex_buchberger(capsys, monkeypatch):
+    # K0 reads a finite critical locus off the gradient ideal's grevlex
+    # basis; only a locus that is not finite adds the block elimination
+    import critvals.solve
+
+    orders = []
+    real_buchberger = critvals.solve.buchberger
+
+    def recording(ideal, limits=None):
+        orders.append(ideal.order.kind)
+        return real_buchberger(ideal, limits)
+
+    monkeypatch.setattr(critvals.solve, "buchberger", recording)
+    code, doc = run_json(capsys, "x^3 - 3*x*y + y^3", "--set", "k0")
+    assert code == 0
+    assert doc["results"]["k0"]["eliminant"] == "y^2 + y"
+    assert orders == ["grevlex"]
+    orders.clear()
+    code, doc = run_json(capsys, "(x^2 + y^2 - 1)^2", "--set", "k0")
+    assert code == 0
+    assert doc["results"]["k0"]["eliminant"] == "y^2 - y"
+    assert orders == ["grevlex", "block"]

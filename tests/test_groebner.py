@@ -28,10 +28,11 @@ from critvals.groebner import (
     buchberger,
     grevlex_order,
     lex_order,
+    minimal_polynomial,
     normal_form,
 )
 from critvals.poly import Poly, VarTable, parse_poly, serialize_poly
-from critvals.solve import _eliminate_images, heuristic_shape
+from critvals.solve import Y_TABLE, _eliminate_images, heuristic_shape
 from critvals.systems import build_system
 
 XY = VarTable(("x", "y"))
@@ -94,6 +95,37 @@ class TestBasisInvariants:
             coeffs = [c for _, c in g.terms()]
             assert all(c.denominator == 1 for c in coeffs)
             assert coeffs[0] > 0
+
+
+class TestNormalForm:
+    X = VarTable(("x",))
+
+    def test_exact_value_not_a_scaled_multiple(self):
+        gb = buchberger(grevlex_ideal("2*x - 1", vars=self.X))
+        assert normal_form(P("x^2 + 3", self.X), gb) == P("13/4", self.X)
+        assert normal_form(P("-x^2 - 3", self.X), gb) == P("-13/4", self.X)
+
+
+class TestMinimalPolynomial:
+    def test_first_dependence_is_minimal(self):
+        # Q[x, y]/<x^2 - 2, y - x> has dimension 2; x^2 acts as 2
+        gb = buchberger(grevlex_ideal("x^2 - 2", "y - x"))
+        assert minimal_polynomial(P("x + y"), gb, Y_TABLE) == parse_poly("y^2 - 8", Y_TABLE)
+        assert minimal_polynomial(P("x^2"), gb, Y_TABLE) == parse_poly("y - 2", Y_TABLE)
+
+    def test_unit_ideal_gives_one(self):
+        gb = buchberger(grevlex_ideal("x*y - 1", "x"))
+        assert minimal_polynomial(P("x"), gb, Y_TABLE) == parse_poly("1", Y_TABLE)
+
+    def test_positive_dimensional_gives_none(self):
+        gb = buchberger(grevlex_ideal("x^2 - y^2"))
+        assert minimal_polynomial(P("x"), gb, Y_TABLE) is None
+
+    def test_krylov_loop_checks_the_clock(self):
+        # the basis is ready before the call; the budget is spent inside it
+        gb = buchberger(grevlex_ideal("x^5 - x*y - 3", "y^5 - 2*x^2 + y"))
+        with pytest.raises(LimitExceeded, match="wall_clock_budget"):
+            minimal_polynomial(P("x + 2*y"), gb, Y_TABLE, ResourceLimits(wall_clock_budget=1e-6))
 
 
 class TestLimits:
@@ -168,7 +200,10 @@ class TestLimits:
             run.normal_form({order.encode((100, 0)): 1}, [reducer])
         run.start += 2.0
         assert run.top_reduce({order.encode((100, 0)): 1}) == order.encode((0, 100))
-        assert run.normal_form({order.encode((100, 0)): 1}, [reducer]) == {order.encode((0, 100)): 1}
+        assert run.normal_form({order.encode((100, 0)): 1}, [reducer]) == (
+            {order.encode((0, 100)): 1},
+            Fraction(1),
+        )
 
     def test_bad_limits_rejected(self):
         with pytest.raises(GroebnerError):
@@ -246,6 +281,26 @@ def test_membership_both_ways(ideal):
 
 
 # ---- the order-native kernel: encodings, monomial operations, oracle ----
+
+
+@st.composite
+def small_polys(draw):
+    terms = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)), small_fractions, max_size=5
+        )
+    )
+    return Poly(XY, terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_ideals(), small_polys(), small_fractions.filter(bool))
+def test_normal_form_is_a_linear_projection(ideal, p, c):
+    gb = buchberger(ideal, ResourceLimits(max_pairs=20_000, wall_clock_budget=60))
+    nf = normal_form(p, gb)
+    assert normal_form(nf, gb) == nf
+    assert normal_form(p * Poly.const(XY, c), gb) == nf * Poly.const(XY, c)
+    assert normal_form(p - nf, gb).is_zero()
 
 
 @st.composite

@@ -3,12 +3,14 @@
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import critvals.solve
 from critvals.arcs import ArcShape
 from critvals.groebner import LimitExceeded, ResourceLimits
 from critvals.poly import Poly, VarTable, parse_poly, serialize_poly
@@ -35,6 +37,11 @@ from oracles import k0_univariate_oracle, package_coeffs
 
 XY = VarTable(("x", "y"))
 X = VarTable(("x",))
+# the dense degree-5 golden input; its K0 eliminant has degree 16
+DENSE5 = (
+    "-x^5 + x^4*y + x^3*y^2 + x^2*y^3 + x*y^4 - y^5 - x^4 + x^3*y + x^2*y^2 - x*y^3 + y^4"
+    " + x^3 - x^2*y - x*y^2 + y^3 - x^2 - x*y - y^2 - x + y - 1"
+)
 
 
 def P(text, vars=XY):
@@ -108,6 +115,74 @@ class TestComputeK0:
     def test_constant_rejected(self):
         with pytest.raises(SolveError):
             compute_k0(Poly.const(X, 2))
+
+    # critical loci that are not finite take the block elimination, whose
+    # diagnostics count the image variable
+    @pytest.mark.parametrize(
+        "text, names, eliminant",
+        [
+            ("(x^2 + y^2 - 1)^2", "xy", "y^2 - y"),  # the circle and the origin
+            ("x*(x^2+1)^2", "xy", "3125*y^3 + 256*y"),  # f is free of y
+            ("(x*y - 1)^2 + z^2", "xyz", "y^2 - y"),  # the hyperbola xy = 1 and the origin
+        ],
+    )
+    def test_positive_dimensional_critical_locus(self, text, names, eliminant):
+        res = compute_k0(P(text, VarTable(tuple(names))))
+        assert res.eliminant == parse_poly(eliminant, Y_TABLE)
+        assert res.diagnostics.variable_count == len(names) + 1
+
+    def test_tiny_budget_trips_with_the_exact_message(self):
+        with pytest.raises(LimitExceeded) as err:
+            compute_k0(P(DENSE5), ResourceLimits(wall_clock_budget=1e-6))
+        assert str(err.value) == "wall_clock_budget: exceeded 1e-06s"
+
+    def test_krylov_loop_gets_what_the_grevlex_run_left(self, monkeypatch):
+        # the budget is spent by the time the Krylov loop would start
+        real = critvals.solve.buchberger
+
+        def slow(ideal, limits=None):
+            gb = real(ideal, limits)
+            time.sleep(0.2)
+            return gb
+
+        monkeypatch.setattr(critvals.solve, "buchberger", slow)
+        with pytest.raises(LimitExceeded) as err:
+            compute_k0(P(DENSE5), ResourceLimits(wall_clock_budget=0.2))
+        assert str(err.value) == "wall_clock_budget: exceeded 0.2s"
+
+    def test_coefficient_limit_holds_for_krylov_vectors(self):
+        # the grevlex basis stays under 100 bits; the Krylov vectors do not
+        with pytest.raises(LimitExceeded) as err:
+            compute_k0(P(DENSE5), ResourceLimits(max_coefficient_bits=100))
+        assert str(err.value).startswith("max_coefficient_bits: Krylov vector ")
+
+
+@st.composite
+def k0_inputs(draw):
+    """f in 1 to 3 variables: plain (mostly a finite critical locus or
+    none), a square (a critical hypersurface), or free of its last
+    variable (a critical locus of cylinders); the last two take the
+    block elimination when n > 1."""
+    n = draw(st.integers(1, 3))
+    table = VarTable(("x", "y", "z")[:n])
+    kind = draw(st.sampled_from(("plain", "square", "partial")))
+    degree = draw(st.integers(1, 2 if kind == "square" or n == 3 else 3))
+    monos = [m for m in product(range(degree + 1), repeat=n) if sum(m) <= degree]
+    if kind == "partial":
+        monos = [m for m in monos if m[-1] == 0]
+    terms = draw(st.dictionaries(st.sampled_from(monos), st.integers(-3, 3).filter(bool), min_size=1, max_size=5))
+    g = Poly(table, {m: Fraction(c) for m, c in terms.items()})
+    assume(g.total_degree() > 0)
+    return g * g if kind == "square" else g
+
+
+@settings(max_examples=100, deadline=None)
+@given(k0_inputs())
+def test_k0_quotient_route_equals_block_elimination(f):
+    grads = [g for g in (f.partial_derivative(j) for j in range(f.vars.arity)) if not g.is_zero()]
+    eliminant, _ = _eliminant(grads, f, None)
+    expected = Poly.const(Y_TABLE, 1) if eliminant.is_constant() else squarefree_part(eliminant)
+    assert compute_k0(f).eliminant == expected
 
 
 class TestComputeKinf:
