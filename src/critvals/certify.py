@@ -22,8 +22,14 @@ seeded multi-start local minimization on it:
 
 Minimization is Levenberg-Marquardt (damped Newton for least squares) on
 an explicit residual vector with analytic Jacobians, preceded by nothing
-fancier than the multi-start itself.  Fixed seeds make every outcome
-reproducible; restarts are merged by best residual with ties broken by
+fancier than the multi-start itself.  All starts of one minimization (the
+restarts of a certification, the samples of one probe radius) advance
+together as one (B, k) stack: each member keeps its own damping, iteration
+and try counts, runs exactly the one-start control flow, and one stacked
+solve per tick takes every live member's damped step.  Every product is an
+`einsum` and every solve a LAPACK call of its own member, so a member's
+result is bitwise the same whatever else is in the stack, and seeded
+outcomes do not depend on how many restarts run.  Restarts are merged by best residual with ties broken by
 restart index.
 """
 
@@ -52,6 +58,9 @@ class CertifyConfig:
     max_iters: int = 200
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        _require_runnable(self, ("restarts", "max_iters"), ("tolerance",))
+
 
 @dataclass(frozen=True)
 class ProbeConfig:
@@ -65,6 +74,20 @@ class ProbeConfig:
     # zero would be reported as seed-dependent rounding noise, and
     # comparing such noise across radii is meaningless
     floor_scale: float = 1e-6
+
+    def __post_init__(self) -> None:
+        scales = ("floor_scale",) if self.level_tolerance is None else ("floor_scale", "level_tolerance")
+        _require_runnable(self, ("samples_per_radius", "max_iters"), scales)
+
+
+def _require_runnable(cfg, counts: tuple[str, ...], scales: tuple[str, ...]) -> None:
+    """Settings under which a search cannot run are errors, not empty results."""
+    for name in counts:
+        if (value := getattr(cfg, name)) < 1:
+            raise CertifyError(f"{name} must be at least 1, got {value}")
+    for name in scales:
+        if not (math.isfinite(value := getattr(cfg, name)) and value > 0):
+            raise CertifyError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -111,9 +134,10 @@ class CompiledSystem:
     One exponent matrix (U x n) lists every monomial of every p_i and of
     every dp_i/dx_j once.  The value coefficients form an m x U matrix and
     the Jacobian coefficients an (m*n) x U matrix, row i*n + j holding
-    dp_i/dx_j.  An evaluation forms the monomial vector once and reads the
-    values, or the Jacobian, off it with one matrix-vector product; x may be
-    real or complex."""
+    dp_i/dx_j.  An evaluation forms the monomial vectors once and reads the
+    values, or the Jacobian, off them with one `einsum`; x is one point (n,)
+    or a stack (..., n), real or complex, and each point's result does not
+    depend on the rest of the stack."""
 
     __slots__ = ("size", "arity", "exponents", "value_coeffs", "jacobian_coeffs")
 
@@ -142,13 +166,14 @@ class CompiledSystem:
         self.jacobian_coeffs = _dense(jacobian_terms, (self.size * n, len(columns)))
 
     def monomials(self, x: np.ndarray) -> np.ndarray:
-        return np.prod(x**self.exponents, axis=1)
+        return np.prod(x[..., None, :] ** self.exponents, axis=-1)
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        return self.value_coeffs @ self.monomials(x)
+        return np.einsum("...u,mu->...m", self.monomials(x), self.value_coeffs)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return (self.jacobian_coeffs @ self.monomials(x)).reshape(self.size, self.arity)
+        flat = np.einsum("...u,ju->...j", self.monomials(x), self.jacobian_coeffs)
+        return flat.reshape(*x.shape[:-1], self.size, self.arity)
 
 
 def _dense(terms: list[tuple[int, int, float]], shape: tuple[int, int]) -> np.ndarray:
@@ -189,47 +214,76 @@ def _levenberg_marquardt(
     stop_norm: float = 0.0,
     project=None,
 ) -> np.ndarray:
-    """Minimize ||residual(x)||^2; optional projection keeps x feasible.
+    """Minimize ||residual(x)||^2 from every row of the (B, k) stack x0;
+    the optional projection keeps x feasible.  residual_fn and jacobian_fn
+    map a (b, k) stack to (b, m) and (b, m, k).
 
-    Deterministic damped Gauss-Newton: the damping parameter only ever
-    changes by fixed factors, and all linear algebra is numpy's."""
-    x = x0.copy() if project is None else project(x0.copy())
+    Deterministic damped Gauss-Newton, run for each member as if alone:
+    an outer iteration stops on a small residual or gradient and forms J;
+    each tick every live member tries one damped step, accepted (lam / 3,
+    new J) if it lowers the cost, else lam * 10, at most 25 tries and none
+    past lam = 1e12.  A singular damped system costs a try without the
+    1e12 check."""
+    x = np.array(x0, dtype=float)
+    if project is not None:
+        x = project(x)
     r = residual_fn(x)
-    cost = float(r @ r)
-    lam = 1e-3
-    for _ in range(max_iters):
-        if math.sqrt(cost) <= stop_norm:
-            break
-        J = jacobian_fn(x)
-        g = J.T @ r
-        if np.linalg.norm(g) < 1e-16 * (1 + cost):
-            break
-        damped = J.T @ J
-        diagonal = damped.diagonal().copy()
-        improved = False
-        for _ in range(25):
-            damped.flat[:: len(x) + 1] = diagonal + lam
+    cost = np.einsum("bm,bm->b", r, r)
+    size, k = x.shape
+    lam = np.full(size, 1e-3)
+    iters, tries = np.zeros(size, dtype=int), np.zeros(size, dtype=int)
+    live, fresh = np.ones(size, dtype=bool), np.ones(size, dtype=bool)
+    grad, normal = np.zeros((size, k)), np.zeros((size, k, k))
+    diagonal = np.arange(k)
+    while True:
+        head = np.flatnonzero(live & fresh)
+        stop = (iters[head] >= max_iters) | (np.sqrt(cost[head]) <= stop_norm)
+        live[head[stop]] = False
+        head = head[~stop]
+        if head.size:
+            J = jacobian_fn(x[head])
+            g = np.einsum("bmk,bm->bk", J, r[head])
+            flat = np.sqrt(np.einsum("bk,bk->b", g, g)) < 1e-16 * (1 + cost[head])
+            live[head[flat]] = False
+            head, J = head[~flat], J[~flat]
+            grad[head], normal[head] = g[~flat], np.einsum("bmk,bml->bkl", J, J)
+            iters[head] += 1
+            tries[head] = 0
+            fresh[head] = False
+        idx = np.flatnonzero(live)
+        if not idx.size:
+            return x
+        damped = normal[idx]
+        damped[:, diagonal, diagonal] += lam[idx, None]
+        step, solved = _solve_stack(damped, -grad[idx])
+        cand = x[idx] + step
+        if project is not None:
+            cand = project(cand)
+        rc = residual_fn(cand)
+        cc = np.einsum("bm,bm->b", rc, rc)
+        better = solved & (cc < cost[idx])
+        won, lost = idx[better], idx[~better]
+        x[won], r[won], cost[won] = cand[better], rc[better], cc[better]
+        lam[won] = np.maximum(lam[won] / 3, 1e-12)
+        fresh[won] = True
+        lam[lost] *= 10
+        tries[lost] += 1
+        live[lost] = (tries[lost] < 25) & ~(solved[~better] & (lam[lost] > 1e12))
+
+
+def _solve_stack(damped: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One stacked solve; if some member is singular, member by member.
+    Returns the steps (zero where singular) and which members solved."""
+    try:
+        return np.linalg.solve(damped, rhs[..., None])[..., 0], np.ones(len(rhs), dtype=bool)
+    except np.linalg.LinAlgError:
+        step, solved = np.zeros_like(rhs), np.ones(len(rhs), dtype=bool)
+        for i in range(len(rhs)):
             try:
-                step = np.linalg.solve(damped, -g)
+                step[i] = np.linalg.solve(damped[i : i + 1], rhs[i : i + 1, :, None])[0, :, 0]
             except np.linalg.LinAlgError:
-                lam *= 10
-                continue
-            cand = x + step
-            if project is not None:
-                cand = project(cand)
-            rc = residual_fn(cand)
-            cc = float(rc @ rc)
-            if cc < cost:
-                x, r, cost = cand, rc, cc
-                lam = max(lam / 3, 1e-12)
-                improved = True
-                break
-            lam *= 10
-            if lam > 1e12:
-                break
-        if not improved:
-            break
-    return x
+                solved[i] = False
+        return step, solved
 
 
 # ---- exact membership check ----
@@ -261,39 +315,38 @@ def certify_zero(
     `system` holds the generators g_1..g_m and, in its last row, the pin
     (see `compile_arc_system`, `compile_critical_point_system`), so one
     compiled system serves every target y.  Multi-start Levenberg-Marquardt
-    on the stacked residual vector (g_1..g_m, pin - y); the reported
-    residual is max|g_alpha| + |pin - y| at the best point.  Confirms,
-    never refutes."""
+    on the residual vector (g_1..g_m, pin - y), every restart in one stack;
+    the reported residual is max|g_alpha| + |pin - y| at the best point,
+    the lowest restart index among equals.  Confirms, never refutes."""
     target = np.zeros(system.size)
     target[-1] = y
 
     def residual(x: np.ndarray) -> np.ndarray:
         return system.values(x) - target
 
-    def metric(x: np.ndarray) -> float:
+    def metric(x: np.ndarray) -> np.ndarray:
         v = system.values(x)
-        return float(np.max(np.abs(v[:-1]), initial=0.0)) + abs(float(v[-1]) - y)
+        res = np.max(np.abs(v[:, :-1]), axis=1, initial=0.0) + np.abs(v[:, -1] - y)
+        return np.where(np.isnan(res), math.inf, res)
 
     rng = np.random.default_rng(cfg.seed)
-    best_x: np.ndarray | None = None
-    best_res = math.inf
     scales = (0.5, 1.0, 2.0, 4.0)
-    for restart in range(cfg.restarts):
-        x0 = rng.normal(size=system.arity) * scales[restart % len(scales)]
-        x = _levenberg_marquardt(residual, system.jacobian, x0, cfg.max_iters)
-        res = metric(x)
-        if res < best_res:
-            best_res, best_x = res, x
+    starts = [rng.normal(size=system.arity) * scales[i % len(scales)] for i in range(cfg.restarts)]
+    xs = _levenberg_marquardt(residual, system.jacobian, np.array(starts), cfg.max_iters)
+    res = metric(xs)
+    best = int(np.argmin(res))  # the first of the smallest
+    best_x, best_res = xs[best], float(res[best])
 
-    if best_x is not None and best_res < cfg.tolerance:
+    if best_res < cfg.tolerance:
         # refinement check: one extra damped-Newton pass may not worsen it
-        polished = _levenberg_marquardt(residual, system.jacobian, best_x, 1)
-        if metric(polished) <= best_res:
-            best_x, best_res = polished, metric(polished)
+        polished = _levenberg_marquardt(residual, system.jacobian, xs[best : best + 1], 1)
+        polished_res = float(metric(polished)[0])
+        if polished_res <= best_res:
+            best_x, best_res = polished[0], polished_res
         return CertificationOutcome(
             "CertifiedReal", tuple(float(v) for v in best_x), best_res
         )
-    witness = tuple(float(v) for v in best_x) if best_x is not None else None
+    witness = tuple(float(v) for v in best_x) if best_res < math.inf else None
     return CertificationOutcome("Uncertified", witness, best_res)
 
 
@@ -328,10 +381,6 @@ def certify_critical_point(
 # ---- Malgrange probe ----
 
 
-def _complex_view(u: np.ndarray, n: int) -> np.ndarray:
-    return u[:n] + 1j * u[n:]
-
-
 def malgrange_probe(
     f: Poly,
     y: complex,
@@ -349,7 +398,13 @@ def malgrange_probe(
         raise CertifyError("radii must be a nonempty strictly increasing schedule")
     if field not in ("complex", "real"):
         raise CertifyError(f"unknown field {field!r}")
-    cfg = cfg or ProbeConfig()
+    return ProbeTrace(tuple(row for row, _ in _probe_steps(f, y, radii, cfg or ProbeConfig(), field)))
+
+
+def _probe_steps(f: Poly, y: complex, radii: Sequence[float], cfg: ProbeConfig, field: str):
+    """Yield (row, carry) per radius: all starts of a radius (the carry of
+    the last radius first, then fresh samples) run as one stack; the row is
+    the first start whose value reaches the floor, else the first smallest."""
     delta = (
         cfg.level_tolerance
         if cfg.level_tolerance is not None
@@ -366,12 +421,8 @@ def malgrange_probe(
     target[-1] = y
 
     def point(u: np.ndarray) -> np.ndarray:
-        return _complex_view(u, n) if is_complex else u
+        return u[:, :n] + 1j * u[:, n:] if is_complex else u
 
-    def split(z: np.ndarray) -> np.ndarray:
-        return np.concatenate([z.real, z.imag]) if is_complex else z
-
-    rows: list[ProbeRow] = []
     rng = np.random.default_rng(cfg.seed)
     carry: np.ndarray | None = None
 
@@ -381,62 +432,39 @@ def malgrange_probe(
         scale = np.array([radius] * n + [1.0])
 
         def residual(u: np.ndarray) -> np.ndarray:
-            return split(system.values(point(u)) * scale - target)
-
-        def jacobian(u: np.ndarray) -> np.ndarray:
-            J_c = system.jacobian(point(u)) * scale[:, None]
-            if is_complex:
-                # d(g_l)/du_j = g_l', d/dv_j = i*g_l' (holomorphy)
-                top = np.hstack([J_c.real, -J_c.imag])
-                bot = np.hstack([J_c.imag, J_c.real])
-                return np.vstack([top, bot])
-            return J_c
-
-        def project(u: np.ndarray) -> np.ndarray:
-            norm = np.linalg.norm(u)
-            if norm == 0:
-                u = np.ones(k)
-                norm = np.linalg.norm(u)
-            return u * (radius / norm)
+            z = system.values(point(u)) * scale - target
+            return np.concatenate([z.real, z.imag], axis=1) if is_complex else z
 
         def tangent_jacobian(u: np.ndarray) -> np.ndarray:
-            J = jacobian(u)
-            uhat = u / np.linalg.norm(u)
-            return J - np.outer(J @ uhat, uhat)
+            J = system.jacobian(point(u)) * scale[:, None]
+            if is_complex:
+                # d(g_l)/du_j = g_l', d/dv_j = i*g_l' (holomorphy)
+                top = np.concatenate([J.real, -J.imag], axis=2)
+                J = np.concatenate([top, np.concatenate([J.imag, J.real], axis=2)], axis=1)
+            uhat = u / np.linalg.norm(u, axis=1, keepdims=True)
+            return J - np.einsum("bmk,bk->bm", J, uhat)[:, :, None] * uhat[:, None, :]
 
-        def metric(u: np.ndarray) -> tuple[float, float]:
-            v = system.values(point(u))
-            gn = math.sqrt(float(np.sum(np.abs(v[:n]) ** 2)))
-            miss = abs(v[-1] - y)
-            return max(radius * gn, miss), miss
+        def project(u: np.ndarray) -> np.ndarray:
+            norm = np.linalg.norm(u, axis=1, keepdims=True)
+            u = np.where(norm == 0, 1.0, u)
+            return u * (radius / np.where(norm == 0, math.sqrt(k), norm))
 
-        starts: list[np.ndarray] = []
-        if carry is not None:
-            starts.append(project(carry))
-        while len(starts) < cfg.samples_per_radius:
-            starts.append(project(rng.normal(size=k)))
+        starts = [] if carry is None else [carry]
+        starts += [rng.normal(size=k) for _ in range(cfg.samples_per_radius - len(starts))]
+        us = _levenberg_marquardt(
+            residual, tangent_jacobian, project(np.array(starts)), cfg.max_iters, stop_norm=floor, project=project
+        )
+        v = system.values(point(us))
+        misses = np.abs(v[:, -1] - y)
+        values = np.maximum(radius * np.sqrt(np.sum(np.abs(v[:, :n]) ** 2, axis=1)), misses)
 
-        best_u: np.ndarray | None = None
-        best_val = math.inf
-        best_miss = math.inf
-        for u0 in starts:
-            u = _levenberg_marquardt(
-                residual,
-                tangent_jacobian,
-                u0,
-                cfg.max_iters,
-                stop_norm=floor,
-                project=project,
-            )
-            val, miss = metric(u)
+        best, best_val = None, math.inf
+        for i, val in enumerate(values):
             if val < best_val:
-                best_u, best_val, best_miss = u, val, miss
+                best, best_val = i, val
             if best_val <= floor:
                 break
 
-        carry = best_u
-        rows.append(
-            ProbeRow(float(radius), float(max(best_val, floor)), bool(best_miss < delta))
-        )
-
-    return ProbeTrace(tuple(rows))
+        carry = None if best is None else us[best]
+        best_miss = math.inf if best is None else misses[best]
+        yield ProbeRow(float(radius), float(max(best_val, floor)), bool(best_miss < delta)), carry

@@ -17,15 +17,23 @@ Univariate kernel: `reference_squarefree_part`, `reference_isolate_real_roots`
 and `reference_refine_interval` are the package's earlier Fraction-arithmetic
 squarefree part, Sturm isolation and bisection refinement, the reference for
 the integer kernel in `critvals.univariate`.
+
+Certifier: `reference_levenberg_marquardt` is the package's earlier
+one-start Levenberg-Marquardt, and `reference_certify_zero` and
+`reference_probe_steps` run the certification and the Malgrange probe on it
+one start at a time, the reference for the batched search in
+`critvals.certify`.
 """
 
 import math
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
 import sympy
 
 from critvals.arcs import ArcPowers, ArcShape
+from critvals.certify import CertificationOutcome, CertifyConfig, CompiledSystem, ProbeConfig, ProbeRow
 from critvals.poly import Poly
 from critvals.univariate import RootInterval, from_coefficients, to_coefficients
 
@@ -322,3 +330,142 @@ def reference_refine_interval(p: Poly, interval: RootInterval, width: Fraction) 
         else:
             hi = mid
     return RootInterval(lo, hi)
+
+
+# ---- one-start certifier ----
+
+
+def reference_levenberg_marquardt(
+    residual_fn,
+    jacobian_fn,
+    x0: np.ndarray,
+    max_iters: int,
+    stop_norm: float = 0.0,
+    project=None,
+) -> np.ndarray:
+    """Minimize ||residual(x)||^2 from one start; optional projection keeps x feasible."""
+    x = x0.copy() if project is None else project(x0.copy())
+    r = residual_fn(x)
+    cost = float(r @ r)
+    lam = 1e-3
+    for _ in range(max_iters):
+        if math.sqrt(cost) <= stop_norm:
+            break
+        J = jacobian_fn(x)
+        g = J.T @ r
+        if np.linalg.norm(g) < 1e-16 * (1 + cost):
+            break
+        damped = J.T @ J
+        diagonal = damped.diagonal().copy()
+        improved = False
+        for _ in range(25):
+            damped.flat[:: len(x) + 1] = diagonal + lam
+            try:
+                step = np.linalg.solve(damped, -g)
+            except np.linalg.LinAlgError:
+                lam *= 10
+                continue
+            cand = x + step
+            if project is not None:
+                cand = project(cand)
+            rc = residual_fn(cand)
+            cc = float(rc @ rc)
+            if cc < cost:
+                x, r, cost = cand, rc, cc
+                lam = max(lam / 3, 1e-12)
+                improved = True
+                break
+            lam *= 10
+            if lam > 1e12:
+                break
+        if not improved:
+            break
+    return x
+
+
+def reference_certify_zero(system: CompiledSystem, y: float, cfg: CertifyConfig) -> CertificationOutcome:
+    """`certify.certify_zero`, one restart after another."""
+    target = np.zeros(system.size)
+    target[-1] = y
+
+    def residual(x: np.ndarray) -> np.ndarray:
+        return system.values(x) - target
+
+    def metric(x: np.ndarray) -> float:
+        v = system.values(x)
+        return float(np.max(np.abs(v[:-1]), initial=0.0)) + abs(float(v[-1]) - y)
+
+    rng = np.random.default_rng(cfg.seed)
+    best_x, best_res = None, math.inf
+    scales = (0.5, 1.0, 2.0, 4.0)
+    for restart in range(cfg.restarts):
+        x0 = rng.normal(size=system.arity) * scales[restart % len(scales)]
+        x = reference_levenberg_marquardt(residual, system.jacobian, x0, cfg.max_iters)
+        res = metric(x)
+        if res < best_res:
+            best_res, best_x = res, x
+    if best_x is not None and best_res < cfg.tolerance:
+        polished = reference_levenberg_marquardt(residual, system.jacobian, best_x, 1)
+        if metric(polished) <= best_res:
+            best_x, best_res = polished, metric(polished)
+        return CertificationOutcome("CertifiedReal", tuple(float(v) for v in best_x), best_res)
+    witness = tuple(float(v) for v in best_x) if best_x is not None else None
+    return CertificationOutcome("Uncertified", witness, best_res)
+
+
+def reference_probe_steps(f: Poly, y: complex, radii, cfg: ProbeConfig, field: str):
+    """`certify._probe_steps`, one start after another: yields (row, carry)
+    per radius, stopping the scan of starts at the first that reaches the floor."""
+    delta = cfg.level_tolerance if cfg.level_tolerance is not None else 1e-6 * (1 + abs(y))
+    n = f.vars.arity
+    is_complex = field == "complex"
+    k = 2 * n if is_complex else n
+    system = CompiledSystem([*(f.partial_derivative(j) for j in range(n)), f])
+    target = np.zeros(n + 1, dtype=complex if is_complex else float)
+    target[-1] = y
+
+    def point(u):
+        return u[:n] + 1j * u[n:] if is_complex else u
+
+    def split(z):
+        return np.concatenate([z.real, z.imag]) if is_complex else z
+
+    rng = np.random.default_rng(cfg.seed)
+    carry = None
+    for radius in radii:
+        floor = cfg.floor_scale / max(1.0, radius)
+        scale = np.array([radius] * n + [1.0])
+
+        def residual(u):
+            return split(system.values(point(u)) * scale - target)
+
+        def tangent_jacobian(u):
+            J_c = system.jacobian(point(u)) * scale[:, None]
+            J = np.vstack([np.hstack([J_c.real, -J_c.imag]), np.hstack([J_c.imag, J_c.real])]) if is_complex else J_c
+            uhat = u / np.linalg.norm(u)
+            return J - np.outer(J @ uhat, uhat)
+
+        def project(u):
+            norm = np.linalg.norm(u)
+            if norm == 0:
+                u = np.ones(k)
+                norm = np.linalg.norm(u)
+            return u * (radius / norm)
+
+        starts = [] if carry is None else [project(carry)]
+        while len(starts) < cfg.samples_per_radius:
+            starts.append(project(rng.normal(size=k)))
+        best_u, best_val, best_miss = None, math.inf, math.inf
+        for u0 in starts:
+            u = reference_levenberg_marquardt(
+                residual, tangent_jacobian, u0, cfg.max_iters, stop_norm=floor, project=project
+            )
+            v = system.values(point(u))
+            miss = abs(v[-1] - y)
+            val = max(radius * math.sqrt(float(np.sum(np.abs(v[:n]) ** 2))), miss)
+            if val < best_val:
+                best_u, best_val, best_miss = u, val, miss
+            if best_val <= floor:
+                break
+        carry = best_u
+        yield ProbeRow(float(radius), float(max(best_val, floor)), bool(best_miss < delta)), carry

@@ -1,12 +1,15 @@
 """Certifier and Malgrange probe: witnesses, determinism, decay shapes."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import reference_certify_zero, reference_probe_steps
 
+from critvals import cli
 from critvals.arcs import ArcShape
 from critvals.certify import (
     CompiledSystem,
@@ -15,15 +18,19 @@ from critvals.certify import (
     ProbeConfig,
     ProbeTrace,
     ProbeRow,
+    _levenberg_marquardt,
+    _probe_steps,
     certify_critical_point,
     certify_real,
     certify_zero,
+    compile_arc_system,
     compile_critical_point_system,
     malgrange_probe,
     verify_arc,
 )
 from critvals.cli import RunConfig, run
 from critvals.poly import Poly, VarTable, parse_poly
+from critvals.systems import build_system
 
 XY = VarTable(("x", "y"))
 X = VarTable(("x",))
@@ -294,3 +301,150 @@ class TestMalgrangeProbe:
     def test_trace_rows_increasing_guard(self):
         with pytest.raises(CertifyError):
             ProbeTrace((ProbeRow(10.0, 1.0, False), ProbeRow(5.0, 1.0, False)))
+
+
+class TestSettingsThatCannotRun:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(restarts=0), dict(restarts=-3), dict(max_iters=0), dict(max_iters=-1),
+         dict(tolerance=0.0), dict(tolerance=-1e-9), dict(tolerance=math.nan), dict(tolerance=math.inf)],
+    )
+    def test_certify_config(self, kwargs):
+        with pytest.raises(CertifyError, match=next(iter(kwargs))):
+            CertifyConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(samples_per_radius=0), dict(max_iters=0), dict(floor_scale=0.0), dict(floor_scale=math.nan),
+         dict(floor_scale=math.inf), dict(level_tolerance=0.0), dict(level_tolerance=-1.0),
+         dict(level_tolerance=math.inf)],
+    )
+    def test_probe_config(self, kwargs):
+        # samples_per_radius=0 used to give a row whose value is inf
+        with pytest.raises(CertifyError, match=next(iter(kwargs))):
+            ProbeConfig(**kwargs)
+
+    def test_smallest_settings_run(self):
+        system = compile_critical_point_system(parse_poly("x^3 - 3*x", X))
+        assert math.isfinite(certify_zero(system, 2.0, CertifyConfig(restarts=1, max_iters=1)).residual)
+        cfg = ProbeConfig(samples_per_radius=1, max_iters=1, level_tolerance=1e-3)
+        assert all(math.isfinite(r.value) for r in malgrange_probe(BROUGHTON, 0.0, (10.0,), cfg).rows)
+
+
+# ---- the batched search ----
+
+# (system, target, projection): an arc system; the critical-point system of
+# 10^200*x^3 + x^2 - x + 1, whose residuals overflow to inf and nan; a
+# system whose damped normal matrix J^T J + lam*I is singular in floating
+# point for |x| < 1/2 (the 10^16 entries swallow 4x^2 + lam), so one stack
+# mixes members that take the singular path with members that solve; and
+# x^2 - y with the pin x*y, projected onto the circle of radius 3.
+_OVERFLOW = compile_critical_point_system(parse_poly(f"{10**200}*x^3 + x^2 - x + 1", X))
+_NEAR_SINGULAR = CompiledSystem([parse_poly("100000000*x + 100000000*y - 1", XY), parse_poly("x^2", XY)])
+
+
+def _on_circle(u):
+    return u * (3.0 / np.linalg.norm(u, axis=1, keepdims=True))
+
+
+LM_CASES = {
+    "arc": (compile_arc_system(build_system(BROUGHTON, ArcShape(n=2, D1=1, D2=1, field="real"), "BV")), 0.0, None),
+    "overflow": (_OVERFLOW, 1.0, None),
+    "near-singular": (_NEAR_SINGULAR, 0.25, None),
+    "projected": (CompiledSystem([parse_poly("x^2 - y", XY), parse_poly("x*y", XY)]), 1.0, _on_circle),
+}
+
+
+def _run_lm(case: str, starts: np.ndarray, max_iters: int) -> np.ndarray:
+    system, y, project = LM_CASES[case]
+    target = np.zeros(system.size)
+    target[-1] = y
+    with np.errstate(all="ignore"):
+        return _levenberg_marquardt(lambda x: system.values(x) - target, system.jacobian, starts, max_iters, project=project)
+
+
+@st.composite
+def lm_stacks(draw):
+    case = draw(st.sampled_from(sorted(LM_CASES)))
+    arity = LM_CASES[case][0].arity
+    coordinate = st.one_of(
+        st.floats(-4, 4, allow_nan=False), st.floats(-0.4, 0.4, allow_nan=False), st.floats(-1e160, 1e160)
+    ).filter(lambda v: v != 0.0)
+    starts = draw(st.lists(st.lists(coordinate, min_size=arity, max_size=arity), min_size=1, max_size=6))
+    return case, np.array(starts), draw(st.integers(1, 25))
+
+
+@settings(max_examples=30, deadline=None)
+@given(lm_stacks())
+@example(("overflow", np.array([[1.0], [1e-3], [6e-101], [-2.5], [1e150]]), 30))
+@example(("near-singular", np.array([[0.1, 0.2], [2.0, -1.0], [-0.3, 0.05]]), 30))
+def test_member_of_a_stack_equals_its_one_member_run(case_stack):
+    # bitwise: the reason a seeded outcome does not depend on --restarts
+    case, starts, max_iters = case_stack
+    together = _run_lm(case, starts, max_iters)
+    for i in range(len(starts)):
+        assert _run_lm(case, starts[i : i + 1], max_iters).tobytes() == together[i : i + 1].tobytes()
+
+
+def test_near_singular_case_is_singular_at_its_start():
+    # the damped normal matrix of the near-singular case at (0.1, 0.2), as
+    # the first try forms it
+    J = _NEAR_SINGULAR.jacobian(np.array([0.1, 0.2]))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(J.T @ J + 1e-3 * np.eye(2), np.ones(2))
+
+
+class TestAgainstOneStartReference:
+    """The batched search against the earlier one-start search in
+    tests/oracles.py: same statuses (so the same headline sets, which are the
+    certified candidates), same probe flags, and probe values above the floor
+    within 1e-9 relative.  Fewer starts than the defaults keep the one-start
+    side quick; the comparison is per start either way."""
+
+    RADII = (10.0, 100.0, 1000.0)
+    CERTIFIER = CertifyConfig(restarts=8)
+    PROBE = ProbeConfig(samples_per_radius=8)
+
+    @pytest.mark.parametrize(
+        "text, value_set, bounds, variables",
+        [("x + x^2*y", "all", (1, 1), ("x", "y")), ("x + x^2*y", "kinf", (2, 1), ("x", "y")),
+         ("x*(x^2+1)^2", "all", (1, 0), ("x", "y")), ("x^3 - 3*x", "k0", None, ("x",)),
+         ("x^3 + y^3 - 3*x*y", "k0", None, ("x", "y"))],
+    )
+    def test_real_runs(self, monkeypatch, text, value_set, bounds, variables):
+        statuses = []
+
+        def both(system, y, cfg):
+            out = certify_zero(system, y, cfg)
+            statuses.append((out.status, reference_certify_zero(system, y, cfg).status))
+            return out
+
+        monkeypatch.setattr(cli, "certify_zero", both)
+        cfg = RunConfig(field="real", value_set=value_set, bounds=bounds, variables=variables, certifier=self.CERTIFIER)
+        run(cfg, text)
+        assert statuses and all(got == ref for got, ref in statuses)
+
+    @pytest.mark.parametrize("f", [BROUGHTON, QUINTIC], ids=["broughton", "quintic"])
+    @pytest.mark.parametrize("y", [0.0, 1.0])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_probe_traces(self, f, y, field):
+        got = malgrange_probe(f, y, self.RADII, self.PROBE, field).rows
+        ref = [row for row, _ in reference_probe_steps(f, y, self.RADII, self.PROBE, field)]
+        assert len(got) == len(ref)
+        for row, ref_row in zip(got, ref):
+            assert row.level_within_delta == ref_row.level_within_delta
+            assert row.value == pytest.approx(ref_row.value, rel=1e-9)
+
+    def test_probe_floor_rule(self):
+        # quintic, complex, y = 0: every radius reaches the floor, so the row
+        # is the first start to reach it and that start's point is the carry
+        cfg = ProbeConfig()
+        got = list(_probe_steps(QUINTIC, 0.0, self.RADII, cfg, "complex"))
+        ref = list(reference_probe_steps(QUINTIC, 0.0, self.RADII, cfg, "complex"))
+        assert len(got) == len(ref)
+        for (row, carry), (ref_row, ref_carry) in zip(got, ref):
+            assert row == ref_row and row.value == cfg.floor_scale / row.radius
+            # along the level set the search stops wherever it first meets
+            # the floor, so rounding moves the point by about 2e-3 * radius;
+            # another start would land a distance of order radius away
+            assert np.linalg.norm(carry - ref_carry) < 1e-2 * row.radius

@@ -226,6 +226,21 @@ class TestConfigValidation:
         code, _, _ = run_main(capsys, "x^2", "--set", "k0", "--vars", "x,2y")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, setting",
+        [("--restarts", "0", "restarts"), ("--restarts", "-3", "restarts"),
+         ("--cert-iters", "-1", "max_iters"), ("--tolerance", "0", "tolerance"),
+         ("--tolerance", "nan", "tolerance"), ("--tolerance", "inf", "tolerance")],
+    )
+    def test_certifier_that_cannot_run_is_2(self, capsys, flag, value, setting):
+        # --restarts 0 used to exit 0 with "cert_residual": Infinity, not JSON
+        code, doc = run_json(
+            capsys, "x^3 - 3*x", "--vars", "x", "--set", "k0", "--field", "real", flag, value
+        )
+        assert code == 2
+        assert doc["error"]["type"] == "CertifyError"
+        assert setting in doc["error"]["message"]
+
 
 class TestLimitsEnvVar:
     def test_env_default_applies(self, capsys, monkeypatch):
