@@ -27,7 +27,6 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Literal
 
 from .poly import Poly, VarTable
@@ -75,9 +74,6 @@ class ArcShape:
     def exponent_range(self) -> range:
         """t-exponents i carried by the arc, descending: D1, D1-1, ..., -D2."""
         return range(self.D1, -self.D2 - 1, -1)
-
-    def var_name(self, i: int, j: int) -> str:
-        return f"a[{i}][{j}]"
 
     def var_index(self, i: int, j: int) -> int:
         """Index of a[i][j] in var_table(); i in [-D2, D1], j in [1, n]."""
@@ -217,12 +213,12 @@ class ArcPowers:
         lcm of p's coefficient denominators."""
         if p.vars.arity != self.shape.n:
             raise ArcError(f"polynomial arity {p.vars.arity} does not match shape n={self.shape.n}")
-        den = lcm(*(c.denominator for _, c in p.terms()))
+        terms, den = p.integer_terms()
         D1 = self.shape.D1
         last = self.shape.n - 1
         out: IntSeries = {}
-        for mono, coeff in p.terms():
-            acc: IntSeries = {0: {0: coeff.numerator * (den // coeff.denominator)}}
+        for mono, coeff in terms.items():
+            acc: IntSeries = {0: {0: coeff}}
             reach = sum(mono) * D1  # highest t-power the factors still to come add
             for j, e in enumerate(mono):
                 reach -= e * D1

@@ -35,6 +35,7 @@ restart index.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -187,7 +188,7 @@ def compile_arc_system(sys: EquationSystem) -> CompiledSystem:
     """The certifier's form of a real BV/GBV system: its generators, then
     c0 as the pin in the last row."""
     _require_arc_mode(sys.mode)
-    if sys.field != "real":
+    if sys.shape.field != "real":
         raise CertifyError("certification runs on real-field shapes")
     return CompiledSystem((*sys.generators, sys.c0[0]))
 
@@ -393,11 +394,15 @@ def malgrange_probe(
     Independent of the arc machinery: this looks directly for sequences
     witnessing the failure of the Malgrange condition at y.  Warm starts
     carry the best point of one radius to the next, so genuine asymptotic
-    curves are tracked outward."""
-    if any(a >= b for a, b in zip(radii, list(radii)[1:])) or not radii:
-        raise CertifyError("radii must be a nonempty strictly increasing schedule")
+    curves are tracked outward.  y must be finite (and real for field
+    "real"), and the radii finite, positive and strictly increasing."""
+    pairs = zip(radii, list(radii)[1:])
+    if not radii or radii[0] <= 0 or not all(map(math.isfinite, radii)) or any(a >= b for a, b in pairs):
+        raise CertifyError("radii must be a nonempty strictly increasing schedule of finite positive numbers")
     if field not in ("complex", "real"):
         raise CertifyError(f"unknown field {field!r}")
+    if not cmath.isfinite(y) or (field == "real" and isinstance(y, complex)):
+        raise CertifyError(f"the target must be a finite {field} number, got {y!r}")
     return ProbeTrace(tuple(row for row, _ in _probe_steps(f, y, radii, cfg or ProbeConfig(), field)))
 
 

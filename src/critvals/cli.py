@@ -164,7 +164,7 @@ def _dump_arc_system(sys_obj: EquationSystem) -> dict[str, Any]:
     table = sys_obj.shape.var_table()
     return {
         "mode": sys_obj.mode,
-        "field": sys_obj.field,
+        "field": sys_obj.shape.field,
         "arc_variables": list(table.names),
         "generators": [
             {"tag": tag.label(), "poly": serialize_poly(g)}

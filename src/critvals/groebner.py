@@ -242,11 +242,9 @@ def _support(exps: Mono, bits: Sequence[int]) -> int:
 def _encode_poly(p: Poly, order: TermOrder) -> tuple[dict[Mono, int], Fraction]:
     """Encoded monomials, denominators cleared, content stripped; and the
     positive factor s of the result = s * p.  p must be nonzero."""
-    lcm = 1
-    for _, c in p.terms():
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    out = {order.encode(m): int(c * lcm) for m, c in p.terms()}
-    return out, Fraction(lcm, _strip_content(out))
+    terms, den = p.integer_terms()
+    out = {order.encode(m): c for m, c in terms.items()}
+    return out, Fraction(den, _strip_content(out))
 
 
 def _strip_content(*fs: dict) -> int:

@@ -14,6 +14,7 @@ ring arithmetic over Fraction (which gcd-normalizes on construction).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
@@ -141,6 +142,12 @@ class Poly:
     def num_terms(self) -> int:
         return len(self._terms)
 
+    def integer_terms(self) -> tuple[dict[Exponent, int], int]:
+        """(den * self as a fresh {monomial: int} dict in storage order, den),
+        where den is the lcm of the coefficient denominators (1 for zero)."""
+        den = math.lcm(*(c.denominator for c in self._terms.values()))
+        return {m: c.numerator * (den // c.denominator) for m, c in self._terms.items()}, den
+
     # ---- ring operations ----
 
     def _require_same_table(self, other: "Poly") -> None:
@@ -265,21 +272,6 @@ def serialize_poly(p: Poly) -> str:
         else:
             parts.append((" - " if neg else " + ") + body)
     return "".join(parts)
-
-
-def remap_variables(p: Poly, new_vars: VarTable, index_map: Sequence[int]) -> Poly:
-    """Rebuild p over new_vars, sending old variable i to new index index_map[i]."""
-    if len(index_map) != p.vars.arity:
-        raise PolyError("index map length must equal source arity")
-    out: dict[Exponent, Fraction] = {}
-    for mono, coeff in p.terms():
-        new = [0] * new_vars.arity
-        for old_i, e in enumerate(mono):
-            if e:
-                new[index_map[old_i]] += e
-        key = tuple(new)
-        out[key] = out.get(key, Fraction(0)) + coeff
-    return Poly(new_vars, out)
 
 
 # ---- parsing ----

@@ -21,8 +21,11 @@ presolved again.  A finished branch keeps only the variables its
 generators and c0 still use, and equal finished branches are eliminated
 once.
 
-Polynomials are term dicts {exponents: Fraction} over the input's table
-while the rewrites run; `Poly`s are built only for the finished branches.
+The rewrites run on the kernel's content-free integer term dicts over the
+input's table (`groebner`).  v := -(rest)/c is fraction-free: a generator
+of degree e in v is multiplied by c^e.  c0 is carried as integer terms over
+a positive denominator, in lowest terms so that equal c0s compare equal.
+`Poly`s are built only for the finished branches.
 """
 
 from __future__ import annotations
@@ -31,9 +34,11 @@ import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .groebner import _positive_lead, _product, _strip_content
 from .poly import Exponent, Poly, VarTable
 
-Terms = dict[Exponent, Fraction]
+Terms = dict[Exponent, int]
+Image = tuple[Terms, int]  # c0 = terms / denominator
 
 
 def presolve(
@@ -48,7 +53,7 @@ def presolve(
     per rewrite round; a caller's deadline check goes there."""
     names = c0.vars.names
     leaves: dict[tuple, tuple[tuple[Poly, ...], Poly]] = {}
-    stack = [([dict(g.terms()) for g in generators], dict(c0.terms()))]
+    stack = [([g.integer_terms()[0] for g in generators], c0.integer_terms())]
     while stack:
         gens, image = stack.pop()
         rewritten = _rewrite(gens, image, tick)
@@ -57,12 +62,13 @@ def presolve(
         gens, image = rewritten
         split = _split_point(gens)
         if split is None:
-            key = tuple(sorted(tuple(sorted(g.items())) for g in gens)), tuple(sorted(image.items()))
+            num, den = image
+            key = tuple(sorted(tuple(sorted(g.items())) for g in gens)), tuple(sorted(num.items())), den
             if key not in leaves:
                 leaves[key] = _finish(gens, image, names)
             continue
         k, alpha, h = split
-        zeroed = [{_unit(i, len(alpha)): Fraction(1)} for i, e in enumerate(alpha) if e]
+        zeroed = [{_unit(i, len(alpha)): 1} for i, e in enumerate(alpha) if e]
         children = [(gens + [x_i], image) for x_i in zeroed]
         children.append((gens[:k] + [h] + gens[k + 1 :], image))
         stack.extend(reversed(children))  # first child is presolved first
@@ -70,10 +76,11 @@ def presolve(
 
 
 def _rewrite(
-    gens: list[Terms], image: Terms, tick: Callable[[], object]
-) -> tuple[list[Terms], Terms] | None:
+    gens: list[Terms], image: Image, tick: Callable[[], object]
+) -> tuple[list[Terms], Image] | None:
     """The rewrites of the module docstring to a fixed point; None for the
     unit ideal."""
+    num, den = image
     while True:
         tick()
         gens = _prune(gens)
@@ -82,27 +89,34 @@ def _rewrite(
         zero = {_pure_power_variable(g) for g in gens} - {None}
         if zero:
             gens = [_set_zero(g, zero) for g in gens]
-            image = _set_zero(image, zero)
+            num, den = _lowest_terms(_set_zero(num, zero), den)
             continue
         pivot = _linear_pivot(gens)
         if pivot is None:
-            return gens, image
+            return gens, (num, den)
         k, v = pivot
         g = gens[k]
         c = g[_unit(v, len(next(iter(g))))]
-        value = {m: -a / c for m, a in g.items() if not m[v]}
-        gens = [_substitute(p, v, value) for i, p in enumerate(gens) if i != k]
-        image = _substitute(image, v, value)
+        value = {m: -a for m, a in g.items() if not m[v]}  # v := value / c
+        gens = [_substitute(p, v, value, c)[0] for i, p in enumerate(gens) if i != k]
+        num, scale = _substitute(num, v, value, c)
+        num, den = _lowest_terms(num, den * scale)
 
 
 def _prune(gens: list[Terms]) -> list[Terms] | None:
-    """Primitive generators without zeros, duplicates or monomial multiples
-    of another generator; None if one is a nonzero constant."""
-    prims = sorted((_primitive(g) for g in gens if g), key=lambda p: sum(_monomial_content(p)))
+    """Content-free generators, positive at their largest exponent tuple,
+    without zeros, duplicates or monomial multiples of another generator;
+    None if one is a nonzero constant.  Normalises in place: a normalised
+    dict is left as it is, so branches may share them."""
+    prims = []
+    for g in filter(None, gens):
+        _strip_content(g)
+        _positive_lead(g)
+        prims.append((_monomial_content(g), g))
+    prims.sort(key=lambda prim: sum(prim[0]))
     kept: dict[tuple, list[Exponent]] = {}  # cofactor h -> alphas kept for x^alpha*h
     out = []
-    for p in prims:
-        alpha = _monomial_content(p)
+    for alpha, p in prims:
         if not any(alpha) and len(p) == 1:
             return None
         alphas = kept.setdefault(tuple(sorted(_divide_monomial(p, alpha).items())), [])
@@ -129,16 +143,17 @@ def _split_point(gens: list[Terms]) -> tuple[int, Exponent, Terms] | None:
 
 
 def _finish(
-    gens: list[Terms], image: Terms, names: tuple[str, ...]
+    gens: list[Terms], image: Image, names: tuple[str, ...]
 ) -> tuple[tuple[Poly, ...], Poly]:
     """The branch over the variables its generators and c0 still use."""
-    used = sorted({i for p in (*gens, image) for m in p for i, e in enumerate(m) if e})
+    num, den = image
+    used = sorted({i for p in (*gens, num) for m in p for i, e in enumerate(m) if e})
     table = VarTable(tuple(names[i] for i in used))
 
-    def compact(p: Terms) -> Poly:
-        return Poly(table, {tuple(m[i] for i in used): a for m, a in p.items()})
+    def compact(p: Terms, den: int = 1) -> Poly:
+        return Poly(table, {tuple(m[i] for i in used): Fraction(a, den) for m, a in p.items()})
 
-    return tuple(compact(g) for g in gens), compact(image)
+    return tuple(compact(g) for g in gens), compact(num, den)
 
 
 # ---- term dicts ----
@@ -148,15 +163,11 @@ def _unit(v: int, arity: int) -> Exponent:
     return tuple(1 if i == v else 0 for i in range(arity))
 
 
-def _primitive(p: Terms) -> Terms:
-    """p scaled to coprime integer coefficients, positive at its largest
-    monomial, so generators equal up to a scalar become equal."""
-    den = math.lcm(*(a.denominator for a in p.values()))
-    num = math.gcd(*(a.numerator for a in p.values()))
-    scale = Fraction(den, num)
-    if p[max(p)] < 0:
-        scale = -scale
-    return {m: a * scale for m, a in p.items()}
+def _lowest_terms(num: Terms, den: int) -> Image:
+    """num / den with the common factor of num's coefficients and den
+    divided out, and den > 0."""
+    g = math.gcd(den, *num.values()) * (1 if den > 0 else -1)
+    return {m: a // g for m, a in num.items()}, den // g
 
 
 def _monomial_content(p: Terms) -> Exponent:
@@ -200,27 +211,21 @@ def _linear_pivot(gens: list[Terms]) -> tuple[int, int] | None:
     return None
 
 
-def _substitute(p: Terms, v: int, value: Terms) -> Terms:
-    """p with v := value (value does not involve v)."""
-    if not any(m[v] for m in p):
-        return p
-    powers = [{(0,) * len(next(iter(p))): Fraction(1)}]
+def _substitute(p: Terms, v: int, value: Terms, c: int) -> tuple[Terms, int]:
+    """(c^e * p with v := value/c, c^e), e the degree of p in v; value does
+    not involve v.  A term of p with v^j takes the factor value^j * c^(e-j)."""
+    e = max((m[v] for m in p), default=0)
+    if not e:
+        return p, 1
+    powers = [{(0,) * len(next(iter(p))): 1}]
     out: Terms = {}
     for m, a in p.items():
-        e = m[v]
-        while len(powers) <= e:
-            powers.append(_multiply(powers[-1], value))
+        j = m[v]
+        while len(powers) <= j:
+            powers.append(_product(powers[-1], value))
+        a *= c ** (e - j)
         base = m[:v] + (0,) + m[v + 1 :]
-        for mv, b in powers[e].items():
+        for mv, b in powers[j].items():
             key = tuple(x + y for x, y in zip(base, mv))
             out[key] = out.get(key, 0) + a * b
-    return {m: a for m, a in out.items() if a}
-
-
-def _multiply(p: Terms, q: Terms) -> Terms:
-    out: Terms = {}
-    for mp, a in p.items():
-        for mq, b in q.items():
-            key = tuple(x + y for x, y in zip(mp, mq))
-            out[key] = out.get(key, 0) + a * b
-    return {m: a for m, a in out.items() if a}
+    return {m: a for m, a in out.items() if a}, c**e

@@ -48,7 +48,7 @@ from .groebner import (
     grevlex_order,
     minimal_polynomial,
 )
-from .poly import Poly, VarTable, remap_variables
+from .poly import Poly, VarTable
 from .presolve import presolve
 from .systems import EquationSystem, build_av_system, build_system
 from .univariate import (
@@ -152,15 +152,15 @@ def _eliminate_images(
     source = images[0].vars
     n, m = source.arity, len(images)
     ext = VarTable(source.names + tuple(_fresh_name(name, source.names) for name in names))
-    into = list(range(n))
-    gens = [remap_variables(g, ext, into) for g in generators]
-    for l, image in enumerate(images):
-        gens.append(Poly.variable(ext, n + l) - remap_variables(image, ext, into))
+    pins = (0,) * m
+    lifted = [Poly(ext, {mono + pins: c for mono, c in p.terms()}) for p in (*images, *generators)]
+    gens = lifted[m:] + [Poly.variable(ext, n + l) - lifted[l] for l in range(m)]
     gb = buchberger(Ideal(tuple(gens), block_elim_order(ext.arity, range(n))), limits)
     image_table, image_vars = VarTable(names), set(range(n, n + m))
-    down = [0] * n + list(range(m))
     pure = tuple(
-        remap_variables(g, image_table, down) for g in gb.basis if g.variables_used() <= image_vars
+        Poly(image_table, {mono[n:]: c for mono, c in g.terms()})
+        for g in gb.basis
+        if g.variables_used() <= image_vars
     )
     return pure, Diagnostics(ext.arity, len(gens), len(gb.basis))
 

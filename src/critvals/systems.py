@@ -58,7 +58,6 @@ class EquationSystem:
     generators: tuple[Poly, ...]
     c0: tuple[Poly, ...]
     mode: Mode
-    field: str
     provenance: tuple[GeneratorTag, ...]
 
     def __post_init__(self) -> None:
@@ -131,7 +130,6 @@ def build_system(f: Poly, shape: ArcShape, mode: Mode) -> EquationSystem:
         generators=tuple(gens),
         c0=(powers.coefficient(s_f, den_f, 0),),
         mode=mode,
-        field=shape.field,
         provenance=tuple(tags),
     )
 
@@ -169,7 +167,6 @@ def build_av_system(
         generators=tuple(gens),
         c0=tuple(c0),
         mode="AVmap",
-        field=shape.field,
         provenance=tuple(tags),
     )
 

@@ -13,6 +13,10 @@ kernel `arcs.ArcPowers`; `series_product` multiplies two of the kernel's
 integer series, and `substitution_product` reads p(x(t)) * q(x(t)) off
 that product.
 
+Presolve: `reference_presolve` is the package's earlier presolve on
+Fraction term dicts, the reference for the integer, fraction-free rewrites
+in `critvals.presolve`.
+
 Univariate kernel: `reference_squarefree_part`, `reference_isolate_real_roots`
 and `reference_refine_interval` are the package's earlier Fraction-arithmetic
 squarefree part, Sturm isolation and bisection refinement, the reference for
@@ -34,7 +38,7 @@ import sympy
 
 from critvals.arcs import ArcPowers, ArcShape
 from critvals.certify import CertificationOutcome, CertifyConfig, CompiledSystem, ProbeConfig, ProbeRow
-from critvals.poly import Poly
+from critvals.poly import Exponent, Poly, VarTable
 from critvals.univariate import RootInterval, from_coefficients, to_coefficients
 
 
@@ -169,6 +173,191 @@ def substitution_product(p: Poly, q: Poly, shape: ArcShape) -> dict[int, Poly]:
     product = series_product(sp, sq)
     coeffs = ((k, powers.coefficient(product, den_p * den_q, k)) for k in product)
     return {k: c for k, c in coeffs if not c.is_zero()}
+
+
+# ---- presolve reference: Fraction term dicts throughout ----
+
+
+FractionTerms = dict[Exponent, Fraction]
+
+
+def reference_presolve(generators: Sequence[Poly], c0: Poly) -> list[tuple[tuple[Poly, ...], Poly]]:
+    """The package's earlier presolve on Fraction term dicts: the same
+    rewrites, splits and branch order as `critvals.presolve.presolve`."""
+    names = c0.vars.names
+    leaves: dict[tuple, tuple[tuple[Poly, ...], Poly]] = {}
+    stack = [([dict(g.terms()) for g in generators], dict(c0.terms()))]
+    while stack:
+        gens, image = stack.pop()
+        rewritten = _ps_rewrite(gens, image)
+        if rewritten is None:
+            continue
+        gens, image = rewritten
+        split = _ps_split_point(gens)
+        if split is None:
+            key = tuple(sorted(tuple(sorted(g.items())) for g in gens)), tuple(sorted(image.items()))
+            if key not in leaves:
+                leaves[key] = _ps_finish(gens, image, names)
+            continue
+        k, alpha, h = split
+        zeroed = [{_ps_unit(i, len(alpha)): Fraction(1)} for i, e in enumerate(alpha) if e]
+        children = [(gens + [x_i], image) for x_i in zeroed]
+        children.append((gens[:k] + [h] + gens[k + 1 :], image))
+        stack.extend(reversed(children))  # first child is presolved first
+    return list(leaves.values())
+
+
+def _ps_rewrite(
+    gens: list[FractionTerms], image: FractionTerms
+) -> tuple[list[FractionTerms], FractionTerms] | None:
+    """The rewrites of `critvals.presolve` to a fixed point; None for the
+    unit ideal."""
+    while True:
+        gens = _ps_prune(gens)
+        if gens is None:
+            return None
+        zero = {_ps_pure_power_variable(g) for g in gens} - {None}
+        if zero:
+            gens = [_ps_set_zero(g, zero) for g in gens]
+            image = _ps_set_zero(image, zero)
+            continue
+        pivot = _ps_linear_pivot(gens)
+        if pivot is None:
+            return gens, image
+        k, v = pivot
+        g = gens[k]
+        c = g[_ps_unit(v, len(next(iter(g))))]
+        value = {m: -a / c for m, a in g.items() if not m[v]}
+        gens = [_ps_substitute(p, v, value) for i, p in enumerate(gens) if i != k]
+        image = _ps_substitute(image, v, value)
+
+
+def _ps_prune(gens: list[FractionTerms]) -> list[FractionTerms] | None:
+    """Primitive generators without zeros, duplicates or monomial multiples
+    of another generator; None if one is a nonzero constant."""
+    prims = sorted((_ps_primitive(g) for g in gens if g), key=lambda p: sum(_ps_monomial_content(p)))
+    kept: dict[tuple, list[Exponent]] = {}  # cofactor h -> alphas kept for x^alpha*h
+    out = []
+    for p in prims:
+        alpha = _ps_monomial_content(p)
+        if not any(alpha) and len(p) == 1:
+            return None
+        alphas = kept.setdefault(tuple(sorted(_ps_divide_monomial(p, alpha).items())), [])
+        # a divisor of alpha has lower degree, so it was met first
+        if not any(all(a <= b for a, b in zip(other, alpha)) for other in alphas):
+            alphas.append(alpha)
+            out.append(p)
+    return out
+
+
+def _ps_split_point(gens: list[FractionTerms]) -> tuple[int, Exponent, FractionTerms] | None:
+    """(position, alpha, h) of the generator x^alpha*h to split on: the
+    first with the fewest variables in alpha, None if no generator has a
+    monomial factor."""
+    factored = [
+        (sum(map(bool, alpha)), k, alpha)
+        for k, alpha in enumerate(map(_ps_monomial_content, gens))
+        if any(alpha)
+    ]
+    if not factored:
+        return None
+    _, k, alpha = min(factored)
+    return k, alpha, _ps_divide_monomial(gens[k], alpha)
+
+
+def _ps_finish(
+    gens: list[FractionTerms], image: FractionTerms, names: tuple[str, ...]
+) -> tuple[tuple[Poly, ...], Poly]:
+    """The branch over the variables its generators and c0 still use."""
+    used = sorted({i for p in (*gens, image) for m in p for i, e in enumerate(m) if e})
+    table = VarTable(tuple(names[i] for i in used))
+
+    def compact(p: FractionTerms) -> Poly:
+        return Poly(table, {tuple(m[i] for i in used): a for m, a in p.items()})
+
+    return tuple(compact(g) for g in gens), compact(image)
+
+
+def _ps_unit(v: int, arity: int) -> Exponent:
+    return tuple(1 if i == v else 0 for i in range(arity))
+
+
+def _ps_primitive(p: FractionTerms) -> FractionTerms:
+    """p scaled to coprime integer coefficients, positive at its largest
+    monomial, so generators equal up to a scalar become equal."""
+    den = math.lcm(*(a.denominator for a in p.values()))
+    num = math.gcd(*(a.numerator for a in p.values()))
+    scale = Fraction(den, num)
+    if p[max(p)] < 0:
+        scale = -scale
+    return {m: a * scale for m, a in p.items()}
+
+
+def _ps_monomial_content(p: FractionTerms) -> Exponent:
+    """The largest monomial dividing every term of p."""
+    return tuple(map(min, *p)) if len(p) > 1 else next(iter(p))
+
+
+def _ps_divide_monomial(p: FractionTerms, alpha: Exponent) -> FractionTerms:
+    if not any(alpha):
+        return p
+    return {tuple(e - a for e, a in zip(m, alpha)): c for m, c in p.items()}
+
+
+def _ps_pure_power_variable(p: FractionTerms) -> int | None:
+    """v if p is c*v^k, else None."""
+    if len(p) != 1:
+        return None
+    support = [i for i, e in enumerate(next(iter(p))) if e]
+    return support[0] if len(support) == 1 else None
+
+
+def _ps_set_zero(p: FractionTerms, zero: set[int]) -> FractionTerms:
+    return {m: a for m, a in p.items() if not any(m[i] for i in zero)}
+
+
+def _ps_linear_pivot(gens: list[FractionTerms]) -> tuple[int, int] | None:
+    """(generator, variable) of a substitution v := -(rest)/c: v occurs in
+    exactly one term of the generator, and that term is c*v.  The generator
+    with the fewest terms wins, then the first; within it the lowest v."""
+    for k in sorted(range(len(gens)), key=lambda k: len(gens[k])):
+        g = gens[k]
+        arity = len(next(iter(g)))
+        occurrences = [0] * arity
+        for m in g:
+            for i, e in enumerate(m):
+                if e:
+                    occurrences[i] += 1
+        for v in range(arity):
+            if occurrences[v] == 1 and _ps_unit(v, arity) in g:
+                return k, v
+    return None
+
+
+def _ps_substitute(p: FractionTerms, v: int, value: FractionTerms) -> FractionTerms:
+    """p with v := value (value does not involve v)."""
+    if not any(m[v] for m in p):
+        return p
+    powers = [{(0,) * len(next(iter(p))): Fraction(1)}]
+    out: FractionTerms = {}
+    for m, a in p.items():
+        e = m[v]
+        while len(powers) <= e:
+            powers.append(_ps_multiply(powers[-1], value))
+        base = m[:v] + (0,) + m[v + 1 :]
+        for mv, b in powers[e].items():
+            key = tuple(x + y for x, y in zip(base, mv))
+            out[key] = out.get(key, 0) + a * b
+    return {m: a for m, a in out.items() if a}
+
+
+def _ps_multiply(p: FractionTerms, q: FractionTerms) -> FractionTerms:
+    out: FractionTerms = {}
+    for mp, a in p.items():
+        for mq, b in q.items():
+            key = tuple(x + y for x, y in zip(mp, mq))
+            out[key] = out.get(key, 0) + a * b
+    return {m: a for m, a in out.items() if a}
 
 
 # ---- univariate references: exact Fraction arithmetic throughout ----

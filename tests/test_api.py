@@ -9,6 +9,7 @@ break it.
 
 import ast
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -73,3 +74,20 @@ def test_substitute_result_exposes_coeffs():
     assert s.coeffs
     for k, p in s.coeffs.items():
         assert isinstance(k, int) and isinstance(p, Poly) and p.num_terms() > 0
+
+
+def test_tracer_counts_buchberger():
+    # the groebner.* counters read buchberger's Ideal argument and the Poly
+    # terms of its GroebnerBasis result
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    restore = tracer.install(critvals)
+    try:
+        critvals.cli.run(critvals.cli.RunConfig(value_set="kinf", bounds=(2, 3)), "x + x^2*y")
+    finally:
+        restore()
+    metrics = tracer.layer_metrics()
+    for name in ("groebner.calls", "groebner.input_terms", "groebner.max_coeff_bits"):
+        assert metrics[name] > 0, name

@@ -298,6 +298,19 @@ class TestMalgrangeProbe:
         with pytest.raises(CertifyError):
             malgrange_probe(BROUGHTON, 0.0, [])
 
+    @pytest.mark.parametrize(
+        "y, radii, field",
+        [(1j, (10.0,), "real"), (1 + 0j, (10.0,), "real"), (math.nan, (10.0,), "complex"),
+         (math.inf, (10.0,), "real"), (complex(0, math.inf), (10.0,), "complex"),
+         (0.0, (-10.0, 10.0), "complex"), (0.0, (0.0, 10.0), "real"), (0.0, (10.0, math.inf), "complex"),
+         (0.0, (math.nan,), "complex")],
+    )
+    def test_bad_target_or_radius(self, y, radii, field):
+        # radii (-10, 10) used to give a row at -10 whose value, radius * |grad f|,
+        # undercut the row at 10; a complex y in the real field was a bare TypeError
+        with pytest.raises(CertifyError):
+            malgrange_probe(BROUGHTON, y, radii, field=field)
+
     def test_trace_rows_increasing_guard(self):
         with pytest.raises(CertifyError):
             ProbeTrace((ProbeRow(10.0, 1.0, False), ProbeRow(5.0, 1.0, False)))

@@ -105,6 +105,11 @@ class TestArithmetic:
         assert p.eval_exact((1, 2)) == 3
         assert p.eval_exact((Fraction(1, 2), Fraction(1, 3))) == Fraction(1, 2) + Fraction(1, 12)
 
+    def test_integer_terms(self):
+        terms, den = P("1/2*x^2 - 2/3*y + 4").integer_terms()
+        assert (list(terms.items()), den) == ([((2, 0), 3), ((0, 1), -4), ((0, 0), 24)], 6)
+        assert Poly.zero(XY).integer_terms() == ({}, 1)
+
     def test_negative_power_rejected(self):
         with pytest.raises(PolyError):
             P("x") ** -1

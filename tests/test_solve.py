@@ -33,7 +33,7 @@ from critvals.solve import (
 from critvals.systems import EquationSystem, build_system
 from critvals.univariate import squarefree_part
 
-from oracles import k0_univariate_oracle, package_coeffs
+from oracles import k0_univariate_oracle, package_coeffs, reference_presolve
 
 XY = VarTable(("x", "y"))
 X = VarTable(("x",))
@@ -328,7 +328,7 @@ class TestPresolve:
         shape = ArcShape(n=1, D1=1, D2=0)
         table = shape.var_table()
         system = EquationSystem(
-            shape, (), (Poly.variable(table, shape.var_index(1, 1)),), "BV", "complex", ()
+            shape, (), (Poly.variable(table, shape.var_index(1, 1)),), "BV", ()
         )
         with pytest.raises(InternalInvariantError):
             compute_kinf(P("x^2", X), shape, system=system)
@@ -393,6 +393,22 @@ def test_presolved_eliminant_equals_unpresolved(case):
     expected = Poly.const(Y_TABLE, 1) if unpresolved.is_constant() else squarefree_part(unpresolved)
     compute = compute_kinf if mode == "BV" else compute_k
     assert compute(f, shape, system=system).eliminant == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(arc_cases())
+def test_presolve_matches_fraction_reference(case):
+    # the same branches in the same order: tables, generators and c0
+    f, shape, mode = case
+    system = build_system(f, shape, mode)
+    got = presolve(system.generators, system.c0[0])
+    assert got == reference_presolve(system.generators, system.c0[0])
+
+
+def test_equal_c0_over_different_denominators_is_kept_once():
+    # the branch b = 0 ends with c0 = 0 at once; the other pivots on 2*b, so
+    # its c0 reaches 0 over the denominator 2: one lowest-terms form for both
+    assert branches(["-3*a*b - 2*b^2 - a*c", "a*b", "-2*b*d - 2*c"], "-2*a*b") == [((), [], "0")]
 
 
 class TestHeuristicShape:
