@@ -7,8 +7,8 @@ Laurent polynomial in t whose t^k coefficient is an exact polynomial in the
 a-variables; those coefficients are the raw material for every equation
 system downstream.
 
-There is one substitution path, the integer kernel `ArcPowers`: it clears
-p's denominators once, multiplies and accumulates the coordinate powers
+There is one substitution path, the integer kernel `ArcPowers`: it reads
+p's integer numerators, multiplies and accumulates the coordinate powers
 x_j(t)^e as integer series over packed monomials, and turns a t^k
 coefficient into a `Poly` only when it is read.  One `ArcPowers` serves
 every substitution of a build, so each coordinate power is multiplied out
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Literal
 
@@ -232,10 +231,8 @@ class ArcPowers:
     def coefficient(self, s: IntSeries, den: int, k: int) -> Poly:
         """The t^k coefficient of s / den as a Poly over the shape's table."""
         unpack, nbytes = self._unpack, self._nbytes
-        return Poly(
-            self.table,
-            {unpack(m.to_bytes(nbytes, "little")): Fraction(c, den) for m, c in s.get(k, {}).items()},
-        )
+        terms = {unpack(m.to_bytes(nbytes, "little")): c for m, c in s.get(k, {}).items()}
+        return Poly(self.table, terms, den)
 
 
 def substitute(p: Poly, shape: ArcShape) -> LaurentSeriesOverPoly:

@@ -38,7 +38,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Literal, Sequence
 
 import numpy as np
@@ -153,13 +152,14 @@ class CompiledSystem:
         for i, p in enumerate(polys):
             if p.vars != table:
                 raise CertifyError("compiled polynomials must share one variable table")
-            for mono, coeff in p.terms():
-                value_terms.append((i, columns.setdefault(mono, len(columns)), float(coeff)))
+            terms, den = p.integer_terms()
+            for mono, coeff in terms.items():
+                value_terms.append((i, columns.setdefault(mono, len(columns)), coeff / den))
                 for j, e in enumerate(mono):
                     if e:
                         dmono = mono[:j] + (e - 1,) + mono[j + 1 :]
                         col = columns.setdefault(dmono, len(columns))
-                        jacobian_terms.append((i * n + j, col, float(coeff * e)))
+                        jacobian_terms.append((i * n + j, col, coeff * e / den))
         self.size = len(polys)
         self.arity = n
         self.exponents = np.array(list(columns), dtype=np.int64).reshape(len(columns), n)
@@ -298,9 +298,7 @@ def verify_arc(f: Poly, shape: ArcShape, a: Sequence[Scalar], mode: Mode) -> boo
         raise CertifyError(
             f"a-vector has {len(a)} entries, shape needs {shape.num_vars}"
         )
-    point = [Fraction(v) for v in a]
-    sys = build_system(f, shape, mode)
-    return all(g.eval_exact(point) == 0 for g in sys.generators)
+    return all(g.eval_exact(a) == 0 for g in build_system(f, shape, mode).generators)
 
 
 # ---- real certification ----

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from .arcs import ArcError, ArcShape, paper_bounds_complex, paper_bounds_real
@@ -89,6 +89,8 @@ class RunConfig:
             raise UsageError("--bounds and --paper-bounds are mutually exclusive")
         if self.arc_var_ceiling < 1:
             raise UsageError("arc-variable ceiling must be positive")
+        if self.certifier.seed != self.seed:
+            raise UsageError(f"certifier seed {self.certifier.seed} differs from the run seed {self.seed}")
 
 
 def _split_components(text: str, value_set: str) -> list[str]:
@@ -152,12 +154,11 @@ def _certify_real_roots(
     system of K_inf/K, or f's critical-point system for K0 (no arc system)."""
     if not refined:
         return []
-    cert_cfg = replace(cfg.certifier, seed=cfg.seed)
     if arc_system is None:
         system = compile_critical_point_system(f)
     else:
         system = compile_arc_system(arc_system)
-    return [certify_zero(system, interval.approx(), cert_cfg) for interval in refined]
+    return [certify_zero(system, interval.approx(), cfg.certifier) for interval in refined]
 
 
 def _dump_arc_system(sys_obj: EquationSystem) -> dict[str, Any]:

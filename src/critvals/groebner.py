@@ -5,15 +5,14 @@ zero-dimensional quotient.
 The kernel is order-native.  On entry every monomial is encoded once by the
 term order into a tuple whose natural tuple order is the term order:
 
-  lex      the permuted exponents;
   grevlex  (deg, -e_n, ..., -e_1) over the permuted exponents e_1..e_n;
   block    the grevlex encodings of the two blocks, concatenated.
 
 The encoding is linear in the exponents, so comparing two monomials is one
 tuple compare and a monomial product or quotient is an elementwise add or
 subtract.  Monomials are decoded only when the result `Poly` is built.
-Coefficients are integers: denominators are cleared on entry and content is
-stripped as the reductions go.
+Coefficients are integers: the `Poly` numerators are read on entry and
+content is stripped as the reductions go.
 
 Reduction is fraction-free and in place.  The working polynomial is one
 dict; a reduction step scales it, cancels its leading term against a
@@ -46,14 +45,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress
+from itertools import compress
 from operator import add, itemgetter, le, neg, sub
 from typing import Callable, Literal, Sequence
 
-from .poly import Poly, VarTable
+from .poly import Poly, VarTable, _positive_lead, _product, _strip_content
 
 Mono = tuple[int, ...]
-OrderKind = Literal["grevlex", "lex", "block"]
+OrderKind = Literal["grevlex", "block"]
 
 
 class GroebnerError(Exception):
@@ -101,23 +100,17 @@ class TermOrder:
     split: int = 0
 
     def __post_init__(self) -> None:
+        if self.kind not in ("grevlex", "block"):
+            raise GroebnerError(f"unknown order kind {self.kind!r}")
         if sorted(self.var_order) != list(range(len(self.var_order))):
             raise GroebnerError(f"variable order {self.var_order} is not a permutation")
         if self.kind == "block" and not 0 <= self.split <= len(self.var_order):
             raise GroebnerError(f"block split {self.split} out of range")
 
-    def unpermute(self, mono: Mono) -> Mono:
-        out = [0] * len(mono)
-        for pos, i in enumerate(self.var_order):
-            out[i] = mono[pos]
-        return tuple(out)
-
     @cached_property
     def _codec(self) -> tuple[Callable[[Mono], Mono], Callable[[Mono], Mono], Callable[[Mono], int]]:
         """(encode, decode, degree) on encoded monomials of this order."""
         vo = self.var_order
-        if self.kind == "lex":
-            return _picker(vo), _picker(self.unpermute(tuple(range(len(vo))))), sum
         # graded segments, each encoded as (deg, -e_last, ..., -e_first)
         if self.kind == "grevlex":
             segments = [vo[::-1]]
@@ -171,10 +164,6 @@ def _picker(indices: Sequence[int]) -> Callable[[Mono], Mono]:
 
 def grevlex_order(arity: int) -> TermOrder:
     return TermOrder("grevlex", tuple(range(arity)))
-
-
-def lex_order(arity: int) -> TermOrder:
-    return TermOrder("lex", tuple(range(arity)))
 
 
 def block_elim_order(arity: int, eliminate: Sequence[int]) -> TermOrder:
@@ -240,32 +229,15 @@ def _support(exps: Mono, bits: Sequence[int]) -> int:
 
 
 def _encode_poly(p: Poly, order: TermOrder) -> tuple[dict[Mono, int], Fraction]:
-    """Encoded monomials, denominators cleared, content stripped; and the
+    """Encoded monomials of p's numerators, content stripped; and the
     positive factor s of the result = s * p.  p must be nonzero."""
     terms, den = p.integer_terms()
     out = {order.encode(m): c for m, c in terms.items()}
     return out, Fraction(den, _strip_content(out))
 
 
-def _strip_content(*fs: dict) -> int:
-    """Divide out the joint content of the dicts' values in place and
-    return it (0 if all are empty)."""
-    g = math.gcd(*chain.from_iterable(f.values() for f in fs))
-    if g > 1:
-        for f in fs:
-            for m in f:
-                f[m] //= g
-    return g
-
-
 def _to_poly(f: dict[Mono, int], vars: VarTable, order: TermOrder) -> Poly:
-    return Poly(vars, {order.decode(m): Fraction(c) for m, c in f.items()})
-
-
-def _positive_lead(f: dict[Mono, int]) -> None:
-    if f and f[max(f)] < 0:
-        for m in f:
-            f[m] = -f[m]
+    return Poly(vars, {order.decode(m): c for m, c in f.items()})
 
 
 class _Entry:
@@ -558,7 +530,7 @@ def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
     work, scale = _encode_poly(p, order)
     nf, s = run.normal_form(work, _reducers(gb, run))
     scale *= s
-    return Poly(p.vars, {order.decode(m): c / scale for m, c in nf.items()})
+    return Poly(p.vars, {order.decode(m): c * scale.denominator for m, c in nf.items()}, scale.numerator)
 
 
 def minimal_polynomial(
@@ -603,16 +575,6 @@ def minimal_polynomial(
     # sum comb[j] * scales[j] * v_j = 0, and comb[k] != 0 since v_0..v_(k-1) are independent
     lead = comb[k] * scales[k]
     return Poly(out, {(j,): c * scales[j] / lead for j, c in comb.items()})
-
-
-def _product(f: dict[Mono, int], g: dict[Mono, int]) -> dict[Mono, int]:
-    out: dict[Mono, int] = {}
-    get = out.get
-    for m, c in f.items():
-        for n, d in g.items():
-            key = tuple(map(add, m, n))
-            out[key] = get(key, 0) + c * d
-    return {m: c for m, c in out.items() if c}
 
 
 def _eliminate(

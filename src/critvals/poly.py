@@ -1,15 +1,17 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial is a finite map from monomial exponent tuples to nonzero
-Fraction coefficients, tied to an immutable table of variable names:
-
-  terms : dict[tuple[int, ...], Fraction]     (no zero coefficients stored)
+integer numerators over one positive denominator in lowest terms, tied to
+an immutable table of variable names.  That is the form every exact kernel
+reads, so `Poly.integer_terms` is a copy of the storage, and the integer
+term-dict helpers the kernels share live here.  Coefficients are
+`Fraction`s only where they are read one by one: `terms`, `coefficient`,
+`constant_value`.
 
 Storage order is graded reverse lexicographic with respect to the variable
 table, so iteration, serialization, and hashing are canonical: equal
 polynomials serialize to identical strings on every platform.  There is no
-floating point anywhere in this module; all arithmetic is division-free
-ring arithmetic over Fraction (which gcd-normalizes on construction).
+floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -17,10 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from itertools import chain
+from operator import add
+from typing import Iterator, Sequence, Union
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
+Terms = dict[Exponent, int]
 
 
 class PolyError(Exception):
@@ -62,25 +67,35 @@ def grevlex_key(mono: Exponent) -> tuple:
 
 
 class Poly:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients, kept
+    as integer numerators over one positive denominator."""
 
-    __slots__ = ("vars", "_terms", "_hash")
+    __slots__ = ("vars", "_terms", "_den", "_hash")
 
-    def __init__(self, vars: VarTable, terms: dict[Exponent, Fraction]):
+    def __init__(self, vars: VarTable, terms: dict[Exponent, Scalar], den: int = 1):
+        """The polynomial terms / den.  Coefficients may be rational; the
+        result is reduced to lowest terms."""
+        if den < 1:
+            raise PolyError(f"denominator must be positive, got {den}")
         arity = vars.arity
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, Scalar] = {}
         for mono, coeff in terms.items():
             if len(mono) != arity:
                 raise PolyError(f"exponent {mono} has wrong length for {vars}")
             if any(e < 0 for e in mono):
                 raise PolyError(f"negative exponent in {mono}")
-            c = Fraction(coeff)
-            if c != 0:
-                clean[mono] = c
+            if coeff:
+                clean[mono] = coeff
+        if not all(isinstance(c, int) for c in clean.values()):
+            scale = math.lcm(*(Fraction(c).denominator for c in clean.values()))
+            clean = {m: int(Fraction(c) * scale) for m, c in clean.items()}
+            den *= scale
+        clean, den = _lowest_terms(clean, den)
         # Canonical storage order: grevlex descending.
         ordered = dict(sorted(clean.items(), key=lambda kv: grevlex_key(kv[0]), reverse=True))
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "_terms", ordered)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -94,23 +109,24 @@ class Poly:
 
     @classmethod
     def const(cls, vars: VarTable, value: Scalar) -> "Poly":
-        return cls(vars, {(0,) * vars.arity: Fraction(value)})
+        return cls(vars, {(0,) * vars.arity: value})
 
     @classmethod
     def variable(cls, vars: VarTable, index: int) -> "Poly":
         if not 0 <= index < vars.arity:
             raise PolyError(f"variable index {index} out of range for {vars}")
         mono = tuple(1 if i == index else 0 for i in range(vars.arity))
-        return cls(vars, {mono: Fraction(1)})
+        return cls(vars, {mono: 1})
 
     # ---- inspection ----
 
     def terms(self) -> Iterator[tuple[Exponent, Fraction]]:
         """Iterate (monomial, coefficient) in canonical grevlex-descending order."""
-        return iter(self._terms.items())
+        den = self._den
+        return ((m, Fraction(c, den)) for m, c in self._terms.items())
 
     def coefficient(self, mono: Exponent) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
+        return Fraction(self._terms.get(mono, 0), self._den)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -122,7 +138,7 @@ class Poly:
         """The value of a constant polynomial (0 for the zero polynomial)."""
         if not self.is_constant():
             raise PolyError("not a constant polynomial")
-        return next(iter(self._terms.values()), Fraction(0))
+        return Fraction(next(iter(self._terms.values()), 0), self._den)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -142,11 +158,10 @@ class Poly:
     def num_terms(self) -> int:
         return len(self._terms)
 
-    def integer_terms(self) -> tuple[dict[Exponent, int], int]:
+    def integer_terms(self) -> tuple[Terms, int]:
         """(den * self as a fresh {monomial: int} dict in storage order, den),
         where den is the lcm of the coefficient denominators (1 for zero)."""
-        den = math.lcm(*(c.denominator for c in self._terms.values()))
-        return {m: c.numerator * (den // c.denominator) for m, c in self._terms.items()}, den
+        return dict(self._terms), self._den
 
     # ---- ring operations ----
 
@@ -156,35 +171,22 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._require_same_table(other)
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            new = out.get(mono, Fraction(0)) + coeff
-            if new:
-                out[mono] = new
-            else:
-                out.pop(mono, None)
-        return Poly(self.vars, out)
+        g = math.gcd(self._den, other._den)
+        a, b = other._den // g, self._den // g  # over the common denominator
+        out = {m: c * a for m, c in self._terms.items()}
+        for m, c in other._terms.items():
+            out[m] = out.get(m, 0) + c * b
+        return Poly(self.vars, out, self._den * a)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.vars, {m: -c for m, c in self._terms.items()})
+        return Poly(self.vars, {m: -c for m, c in self._terms.items()}, self._den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._require_same_table(other)
-        if not self._terms or not other._terms:
-            return Poly.zero(self.vars)
-        out: dict[Exponent, Fraction] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                mono = tuple(x + y for x, y in zip(ma, mb))
-                new = out.get(mono, Fraction(0)) + ca * cb
-                if new:
-                    out[mono] = new
-                else:
-                    del out[mono]
-        return Poly(self.vars, out)
+        return Poly(self.vars, _product(self._terms, other._terms), self._den * other._den)
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
@@ -203,14 +205,14 @@ class Poly:
         """Exact formal partial derivative with respect to variable `index`."""
         if not 0 <= index < self.vars.arity:
             raise PolyError(f"variable index {index} out of range for {self.vars}")
-        out: dict[Exponent, Fraction] = {}
+        out: Terms = {}
         for mono, coeff in self._terms.items():
             e = mono[index]
             if e == 0:
                 continue
-            dm = tuple(x - 1 if i == index else x for i, x in enumerate(mono))
-            out[dm] = out.get(dm, Fraction(0)) + coeff * e
-        return Poly(self.vars, out)
+            dm = mono[:index] + (e - 1,) + mono[index + 1 :]
+            out[dm] = out.get(dm, 0) + coeff * e
+        return Poly(self.vars, out, self._den)
 
     def eval_exact(self, point: Sequence[Scalar]) -> Fraction:
         """Evaluate at a rational point; exact (a ring homomorphism to Q)."""
@@ -219,23 +221,23 @@ class Poly:
         vals = [Fraction(v) for v in point]
         total = Fraction(0)
         for mono, coeff in self._terms.items():
-            term = coeff
+            term = Fraction(coeff)
             for e, v in zip(mono, vals):
                 if e:
                     term *= v**e
             total += term
-        return total
+        return total / self._den
 
     # ---- comparison & hashing ----
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.vars == other.vars and self._terms == other._terms
+        return self.vars == other.vars and self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.vars, tuple(self._terms.items()))))
+            object.__setattr__(self, "_hash", hash((self.vars, self._den, tuple(self._terms.items()))))
         return self._hash
 
     # ---- canonical text form ----
@@ -245,6 +247,46 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({serialize_poly(self)!r}, vars={self.vars})"
+
+
+# ---- integer term dicts, shared by the exact kernels ----
+
+
+def _product(f: Terms, g: Terms) -> Terms:
+    out: Terms = {}
+    get = out.get
+    for m, c in f.items():
+        for n, d in g.items():
+            key = tuple(map(add, m, n))
+            out[key] = get(key, 0) + c * d
+    return {m: c for m, c in out.items() if c}
+
+
+def _strip_content(*fs: dict) -> int:
+    """Divide out the joint content of the dicts' values in place and
+    return it (0 if all are empty)."""
+    g = math.gcd(*chain.from_iterable(f.values() for f in fs))
+    if g > 1:
+        for f in fs:
+            for m in f:
+                f[m] //= g
+    return g
+
+
+def _positive_lead(f: dict) -> None:
+    """Negate f in place if its value at the largest key is negative."""
+    if f and f[max(f)] < 0:
+        for m in f:
+            f[m] = -f[m]
+
+
+def _lowest_terms(num: Terms, den: int) -> tuple[Terms, int]:
+    """num / den with the common factor of num's coefficients and den
+    divided out, and den > 0."""
+    g = math.gcd(den, *num.values()) * (1 if den > 0 else -1)
+    if g == 1:
+        return num, den
+    return {m: a // g for m, a in num.items()}, den // g
 
 
 def serialize_poly(p: Poly) -> str:

@@ -21,23 +21,20 @@ presolved again.  A finished branch keeps only the variables its
 generators and c0 still use, and equal finished branches are eliminated
 once.
 
-The rewrites run on the kernel's content-free integer term dicts over the
-input's table (`groebner`).  v := -(rest)/c is fraction-free: a generator
-of degree e in v is multiplied by c^e.  c0 is carried as integer terms over
-a positive denominator, in lowest terms so that equal c0s compare equal.
+The rewrites run on content-free integer term dicts over the input's
+table, with the term-dict helpers of `poly`.  v := -(rest)/c is
+fraction-free: a generator of degree e in v is multiplied by c^e.  c0 is
+carried as integer terms over a positive denominator, in lowest terms so
+that equal c0s compare equal.
 `Poly`s are built only for the finished branches.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import Callable, Sequence
 
-from .groebner import _positive_lead, _product, _strip_content
-from .poly import Exponent, Poly, VarTable
+from .poly import Exponent, Poly, Terms, VarTable, _lowest_terms, _positive_lead, _product, _strip_content
 
-Terms = dict[Exponent, int]
 Image = tuple[Terms, int]  # c0 = terms / denominator
 
 
@@ -63,7 +60,7 @@ def presolve(
         split = _split_point(gens)
         if split is None:
             num, den = image
-            key = tuple(sorted(tuple(sorted(g.items())) for g in gens)), tuple(sorted(num.items())), den
+            key = frozenset(frozenset(g.items()) for g in gens), frozenset(num.items()), den
             if key not in leaves:
                 leaves[key] = _finish(gens, image, names)
             continue
@@ -114,12 +111,12 @@ def _prune(gens: list[Terms]) -> list[Terms] | None:
         _positive_lead(g)
         prims.append((_monomial_content(g), g))
     prims.sort(key=lambda prim: sum(prim[0]))
-    kept: dict[tuple, list[Exponent]] = {}  # cofactor h -> alphas kept for x^alpha*h
+    kept: dict[frozenset, list[Exponent]] = {}  # cofactor h -> alphas kept for x^alpha*h
     out = []
     for alpha, p in prims:
         if not any(alpha) and len(p) == 1:
             return None
-        alphas = kept.setdefault(tuple(sorted(_divide_monomial(p, alpha).items())), [])
+        alphas = kept.setdefault(frozenset(_divide_monomial(p, alpha).items()), [])
         # a divisor of alpha has lower degree, so it was met first
         if not any(all(a <= b for a, b in zip(other, alpha)) for other in alphas):
             alphas.append(alpha)
@@ -151,7 +148,7 @@ def _finish(
     table = VarTable(tuple(names[i] for i in used))
 
     def compact(p: Terms, den: int = 1) -> Poly:
-        return Poly(table, {tuple(m[i] for i in used): Fraction(a, den) for m, a in p.items()})
+        return Poly(table, {tuple(m[i] for i in used): a for m, a in p.items()}, den)
 
     return tuple(compact(g) for g in gens), compact(num, den)
 
@@ -161,13 +158,6 @@ def _finish(
 
 def _unit(v: int, arity: int) -> Exponent:
     return tuple(1 if i == v else 0 for i in range(arity))
-
-
-def _lowest_terms(num: Terms, den: int) -> Image:
-    """num / den with the common factor of num's coefficients and den
-    divided out, and den > 0."""
-    g = math.gcd(den, *num.values()) * (1 if den > 0 else -1)
-    return {m: a // g for m, a in num.items()}, den // g
 
 
 def _monomial_content(p: Terms) -> Exponent:

@@ -153,14 +153,14 @@ def _eliminate_images(
     n, m = source.arity, len(images)
     ext = VarTable(source.names + tuple(_fresh_name(name, source.names) for name in names))
     pins = (0,) * m
-    lifted = [Poly(ext, {mono + pins: c for mono, c in p.terms()}) for p in (*images, *generators)]
+    sources = map(Poly.integer_terms, (*images, *generators))
+    lifted = [Poly(ext, {mono + pins: c for mono, c in t.items()}, d) for t, d in sources]
     gens = lifted[m:] + [Poly.variable(ext, n + l) - lifted[l] for l in range(m)]
     gb = buchberger(Ideal(tuple(gens), block_elim_order(ext.arity, range(n))), limits)
     image_table, image_vars = VarTable(names), set(range(n, n + m))
     pure = tuple(
-        Poly(image_table, {mono[n:]: c for mono, c in g.terms()})
-        for g in gb.basis
-        if g.variables_used() <= image_vars
+        Poly(image_table, {mono[n:]: c for mono, c in t.items()}, d)
+        for t, d in (g.integer_terms() for g in gb.basis if g.variables_used() <= image_vars)
     )
     return pure, Diagnostics(ext.arity, len(gens), len(gb.basis))
 

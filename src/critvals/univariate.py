@@ -2,8 +2,8 @@
 complex root approximation.
 
 Everything up to root isolation is exact.  Each public call turns its Poly
-into an ascending list of content-free Python ints once: denominators
-cleared, content divided out, scaled only by a positive factor, so every
+into an ascending list of content-free Python ints once: the integer
+numerators with their content divided out, a positive factor, so every
 sign is kept.  The gcd for the squarefree part and the Sturm chain are
 primitive pseudo-remainder sequences (Collins, JACM 1967), and the sign of
 p(n/d), d > 0, is that of the integer sum of c_i n^i d^(deg-i), taken by
@@ -32,22 +32,28 @@ class UnivariateError(Exception):
 # ---- coefficient lists (ascending degree) ----
 
 
-def to_coefficients(p: Poly) -> list[Fraction]:
-    """Ascending coefficient list of a univariate Poly; [] for zero."""
+def _numerators(p: Poly) -> tuple[list[int], int]:
+    """(ascending coefficient list of den * p, den) of a univariate Poly;
+    ([], 1) for zero."""
     if p.vars.arity != 1:
         raise UnivariateError(f"expected univariate polynomial, got arity {p.vars.arity}")
-    if p.is_zero():
-        return []
-    out = [Fraction(0)] * (p.total_degree() + 1)
-    for mono, coeff in p.terms():
-        out[mono[0]] = coeff
-    return out
+    terms, den = p.integer_terms()
+    out = [0] * (p.total_degree() + 1)
+    for (d,), c in terms.items():
+        out[d] = c
+    return out, den
+
+
+def to_coefficients(p: Poly) -> list[Fraction]:
+    """Ascending coefficient list of a univariate Poly; [] for zero."""
+    coeffs, den = _numerators(p)
+    return [Fraction(c, den) for c in coeffs]
 
 
 def from_coefficients(vars: VarTable, coeffs: Sequence[Fraction]) -> Poly:
     if vars.arity != 1:
         raise UnivariateError("coefficient lists describe univariate polynomials")
-    return Poly(vars, {(i,): Fraction(c) for i, c in enumerate(coeffs) if c})
+    return Poly(vars, {(i,): c for i, c in enumerate(coeffs)})
 
 
 def _primitive(coeffs: Sequence[int]) -> list[int]:
@@ -58,9 +64,7 @@ def _primitive(coeffs: Sequence[int]) -> list[int]:
 
 def _integer_coefficients(p: Poly) -> list[int]:
     """Content-free integer coefficients of a positive multiple of p; [] for zero."""
-    coeffs = to_coefficients(p)
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    return _primitive([c.numerator * (lcm // c.denominator) for c in coeffs])
+    return _primitive(_numerators(p)[0])
 
 
 def _derivative(coeffs: Sequence[int]) -> list[int]:

@@ -13,6 +13,12 @@ kernel `arcs.ArcPowers`; `series_product` multiplies two of the kernel's
 integer series, and `substitution_product` reads p(x(t)) * q(x(t)) off
 that product.
 
+Polynomials: `reference_add`, `reference_multiply`, `reference_power`,
+`reference_partial_derivative`, `reference_eval` and `reference_serialize`
+are the package's earlier `Poly` arithmetic on Fraction term dicts, the
+reference for `critvals.poly.Poly`, which keeps integer numerators over one
+denominator.
+
 Presolve: `reference_presolve` is the package's earlier presolve on
 Fraction term dicts, the reference for the integer, fraction-free rewrites
 in `critvals.presolve`.
@@ -358,6 +364,60 @@ def _ps_multiply(p: FractionTerms, q: FractionTerms) -> FractionTerms:
             key = tuple(x + y for x, y in zip(mp, mq))
             out[key] = out.get(key, 0) + a * b
     return {m: a for m, a in out.items() if a}
+
+
+# ---- Poly reference: Fraction term dicts ----
+
+
+def reference_add(p: FractionTerms, q: FractionTerms) -> FractionTerms:
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def reference_multiply(p: FractionTerms, q: FractionTerms) -> FractionTerms:
+    return _ps_multiply(p, q)
+
+
+def reference_power(p: FractionTerms, e: int, arity: int) -> FractionTerms:
+    out: FractionTerms = {(0,) * arity: Fraction(1)}
+    for _ in range(e):
+        out = _ps_multiply(out, p)
+    return out
+
+
+def reference_partial_derivative(p: FractionTerms, index: int) -> FractionTerms:
+    out: FractionTerms = {}
+    for m, c in p.items():
+        if m[index]:
+            dm = tuple(e - 1 if i == index else e for i, e in enumerate(m))
+            out[dm] = out.get(dm, Fraction(0)) + c * m[index]
+    return {m: c for m, c in out.items() if c}
+
+
+def reference_eval(p: FractionTerms, point: Sequence[Fraction]) -> Fraction:
+    total = Fraction(0)
+    for m, c in p.items():
+        for e, v in zip(m, point):
+            c *= Fraction(v) ** e
+        total += c
+    return total
+
+
+def reference_serialize(names: Sequence[str], p: FractionTerms) -> str:
+    """Terms in grevlex-descending order, explicit signs, '^', '*'."""
+    if not p:
+        return "0"
+    grevlex = sorted(p, key=lambda m: (sum(m), tuple(-e for e in reversed(m))), reverse=True)
+    parts = []
+    for m in grevlex:
+        c = p[m]
+        factors = [str(abs(c))] if abs(c) != 1 or not any(m) else []
+        factors += [name if e == 1 else f"{name}^{e}" for name, e in zip(names, m) if e]
+        sign = ("-" if c < 0 else "") if not parts else (" - " if c < 0 else " + ")
+        parts.append(sign + "*".join(factors))
+    return "".join(parts)
 
 
 # ---- univariate references: exact Fraction arithmetic throughout ----

@@ -78,7 +78,8 @@ def test_substitute_result_exposes_coeffs():
 
 def test_tracer_counts_buchberger():
     # the groebner.* counters read buchberger's Ideal argument and the Poly
-    # terms of its GroebnerBasis result
+    # terms of its GroebnerBasis result; the systems.* counters read
+    # num_terms() on build_system's result
     spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
@@ -89,5 +90,11 @@ def test_tracer_counts_buchberger():
     finally:
         restore()
     metrics = tracer.layer_metrics()
-    for name in ("groebner.calls", "groebner.input_terms", "groebner.max_coeff_bits"):
+    for name in (
+        "groebner.calls",
+        "groebner.input_terms",
+        "groebner.max_coeff_bits",
+        "systems.build_calls",
+        "systems.generator_terms",
+    ):
         assert metrics[name] > 0, name

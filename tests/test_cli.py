@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from critvals import cli
+from critvals.certify import CertifyConfig
 from critvals.cli import GuardRefusal, RunConfig, UsageError, run
 from critvals.poly import VarTable, parse_poly
 from critvals.solve import InternalInvariantError
@@ -213,6 +214,12 @@ class TestConfigValidation:
     def test_config_object_rejects_bad_field(self):
         with pytest.raises(UsageError):
             RunConfig(field="quaternion")
+
+    def test_config_object_rejects_a_second_seed(self):
+        # the run seed is the certifier's seed; a different one would be ignored
+        with pytest.raises(UsageError, match="seed"):
+            RunConfig(field="real", seed=0, certifier=CertifyConfig(seed=12345))
+        assert RunConfig(seed=7, certifier=CertifyConfig(seed=7)).certifier.seed == 7
 
     def test_variable_inference_order(self, capsys):
         _, doc = run_json(capsys, "y^2 + x", "--set", "k0")

@@ -1,5 +1,6 @@
 """Polynomial core: arithmetic, parsing, serialization, derivatives."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,15 @@ from critvals.poly import (
     VarTable,
     parse_poly,
     serialize_poly,
+)
+
+from oracles import (
+    reference_add,
+    reference_eval,
+    reference_multiply,
+    reference_partial_derivative,
+    reference_power,
+    reference_serialize,
 )
 
 XY = VarTable(("x", "y"))
@@ -191,3 +201,55 @@ def test_degree_of_product(p, q):
         assert (p * q).total_degree() == -1
     else:
         assert (p * q).total_degree() == p.total_degree() + q.total_degree()
+
+
+@st.composite
+def integer_polys(draw, vars=XY):
+    """A Poly built from integer numerators over a denominator, often not
+    in lowest terms."""
+    numerators = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(min_value=0, max_value=3)] * vars.arity),
+            st.integers(min_value=-12, max_value=12),
+            max_size=5,
+        )
+    )
+    return Poly(vars, numerators, draw(st.integers(min_value=1, max_value=12)))
+
+
+any_polys = st.one_of(polys(), integer_polys())
+
+
+@settings(max_examples=80)
+@given(any_polys, any_polys, st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=1))
+def test_arithmetic_matches_fraction_reference(p, q, e, i):
+    fp, fq = dict(p.terms()), dict(q.terms())
+    assert all(fp.values()) and all(isinstance(c, Fraction) for c in fp.values())
+    assert dict((p + q).terms()) == reference_add(fp, fq)
+    assert dict((p - q).terms()) == reference_add(fp, {m: -c for m, c in fq.items()})
+    assert dict((p * q).terms()) == reference_multiply(fp, fq)
+    assert dict((p**e).terms()) == reference_power(fp, e, XY.arity)
+    assert dict(p.partial_derivative(i).terms()) == reference_partial_derivative(fp, i)
+
+
+@settings(max_examples=80)
+@given(any_polys, small_fractions, small_fractions)
+def test_eval_and_serialize_match_fraction_reference(p, a, b):
+    fp = dict(p.terms())
+    assert p.eval_exact((a, b)) == reference_eval(fp, (a, b))
+    assert serialize_poly(p) == reference_serialize(XY.names, fp)
+
+
+@settings(max_examples=80)
+@given(any_polys, st.integers(min_value=1, max_value=50))
+def test_one_canonical_form_per_polynomial(p, k):
+    terms, den = p.integer_terms()
+    assert math.gcd(den, *terms.values()) == 1 and den >= 1
+    assert Poly(p.vars, *p.integer_terms()) == p
+    scaled = Poly(p.vars, {m: c * k for m, c in terms.items()}, den * k)
+    assert scaled == p and hash(scaled) == hash(p)
+    rational = Poly(p.vars, dict(p.terms()))
+    assert rational == p and hash(rational) == hash(p)
+    for bad in (0, -den):
+        with pytest.raises(PolyError):
+            Poly(p.vars, terms, bad)
