@@ -152,14 +152,14 @@ class CompiledSystem:
         for i, p in enumerate(polys):
             if p.vars != table:
                 raise CertifyError("compiled polynomials must share one variable table")
-            terms, den = p.integer_terms()
-            for mono, coeff in terms.items():
-                value_terms.append((i, columns.setdefault(mono, len(columns)), coeff / den))
+            # the canonical term order fixes the columns, and with them every float sum
+            for mono, coeff in p.terms():
+                value_terms.append((i, columns.setdefault(mono, len(columns)), float(coeff)))
                 for j, e in enumerate(mono):
                     if e:
                         dmono = mono[:j] + (e - 1,) + mono[j + 1 :]
                         col = columns.setdefault(dmono, len(columns))
-                        jacobian_terms.append((i * n + j, col, coeff * e / den))
+                        jacobian_terms.append((i * n + j, col, float(coeff * e)))
         self.size = len(polys)
         self.arity = n
         self.exponents = np.array(list(columns), dtype=np.int64).reshape(len(columns), n)

@@ -8,10 +8,10 @@ term-dict helpers the kernels share live here.  Coefficients are
 `Fraction`s only where they are read one by one: `terms`, `coefficient`,
 `constant_value`.
 
-Storage order is graded reverse lexicographic with respect to the variable
-table, so iteration, serialization, and hashing are canonical: equal
-polynomials serialize to identical strings on every platform.  There is no
-floating point anywhere in this module.
+Terms are stored unordered; equality and hashing do not depend on the order.
+`Poly.terms` makes the canonical one, grevlex descending over the variable
+table, so equal polynomials serialize to identical strings on every
+platform.  There is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -78,23 +78,20 @@ class Poly:
         if den < 1:
             raise PolyError(f"denominator must be positive, got {den}")
         arity = vars.arity
-        clean: dict[Exponent, Scalar] = {}
-        for mono, coeff in terms.items():
-            if len(mono) != arity:
-                raise PolyError(f"exponent {mono} has wrong length for {vars}")
-            if any(e < 0 for e in mono):
-                raise PolyError(f"negative exponent in {mono}")
-            if coeff:
-                clean[mono] = coeff
+        if set(map(len, terms)) - {arity}:
+            bad = next(m for m in terms if len(m) != arity)
+            raise PolyError(f"exponent {bad} has wrong length for {vars}")
+        if min(chain.from_iterable(terms), default=0) < 0:
+            bad = next(m for m in terms if min(m) < 0)
+            raise PolyError(f"negative exponent in {bad}")
+        clean = {m: c for m, c in terms.items() if c}
         if not all(isinstance(c, int) for c in clean.values()):
             scale = math.lcm(*(Fraction(c).denominator for c in clean.values()))
             clean = {m: int(Fraction(c) * scale) for m, c in clean.items()}
             den *= scale
         clean, den = _lowest_terms(clean, den)
-        # Canonical storage order: grevlex descending.
-        ordered = dict(sorted(clean.items(), key=lambda kv: grevlex_key(kv[0]), reverse=True))
         object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "_terms", ordered)
+        object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_hash", None)
 
@@ -121,9 +118,9 @@ class Poly:
     # ---- inspection ----
 
     def terms(self) -> Iterator[tuple[Exponent, Fraction]]:
-        """Iterate (monomial, coefficient) in canonical grevlex-descending order."""
-        den = self._den
-        return ((m, Fraction(c, den)) for m, c in self._terms.items())
+        """Iterate (monomial, coefficient) in the canonical order, grevlex
+        descending; the one place that order is made."""
+        return ((m, self.coefficient(m)) for m in sorted(self._terms, key=grevlex_key, reverse=True))
 
     def coefficient(self, mono: Exponent) -> Fraction:
         return Fraction(self._terms.get(mono, 0), self._den)
@@ -138,13 +135,11 @@ class Poly:
         """The value of a constant polynomial (0 for the zero polynomial)."""
         if not self.is_constant():
             raise PolyError("not a constant polynomial")
-        return Fraction(next(iter(self._terms.values()), 0), self._den)
+        return Fraction(self._terms.get((0,) * self.vars.arity, 0), self._den)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return sum(next(iter(self._terms)))  # first stored term is grevlex-max
+        return max(map(sum, self._terms), default=-1)
 
     def variables_used(self) -> set[int]:
         """Indices of variables that occur with positive exponent."""
@@ -159,8 +154,8 @@ class Poly:
         return len(self._terms)
 
     def integer_terms(self) -> tuple[Terms, int]:
-        """(den * self as a fresh {monomial: int} dict in storage order, den),
-        where den is the lcm of the coefficient denominators (1 for zero)."""
+        """(den * self as a fresh unordered {monomial: int} dict, den), where
+        den is the lcm of the coefficient denominators (1 for zero)."""
         return dict(self._terms), self._den
 
     # ---- ring operations ----
@@ -237,7 +232,7 @@ class Poly:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.vars, self._den, tuple(self._terms.items()))))
+            object.__setattr__(self, "_hash", hash((self.vars, self._den, frozenset(self._terms.items()))))
         return self._hash
 
     # ---- canonical text form ----
@@ -290,7 +285,7 @@ def _lowest_terms(num: Terms, den: int) -> tuple[Terms, int]:
 
 
 def serialize_poly(p: Poly) -> str:
-    """Canonical text form: terms in storage order, explicit signs, '^', '*'.
+    """Canonical text form: terms in `Poly.terms` order, explicit signs, '^', '*'.
 
     Bit-exact across runs and platforms; round-trips through parse_poly.
     """

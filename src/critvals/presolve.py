@@ -180,7 +180,9 @@ def _pure_power_variable(p: Terms) -> int | None:
 
 
 def _set_zero(p: Terms, zero: set[int]) -> Terms:
-    return {m: a for m, a in p.items() if not any(m[i] for i in zero)}
+    """p without its terms in a zeroed variable; p itself if it has none."""
+    kept = {m: a for m, a in p.items() if not any(m[i] for i in zero)}
+    return kept if len(kept) < len(p) else p
 
 
 def _linear_pivot(gens: list[Terms]) -> tuple[int, int] | None:

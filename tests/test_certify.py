@@ -226,6 +226,16 @@ class TestCompiledSystem:
         with pytest.raises(CertifyError):
             CompiledSystem([])
 
+    def test_columns_do_not_depend_on_storage_order(self):
+        arc_system = build_system(BROUGHTON, ArcShape(n=2, D1=2, D2=1), "BV").generators
+        for polys in (arc_system, (parse_poly("1/3*x^2*y - 2/7*x + 5/11", XY), QUINTIC)):
+            table = polys[0].vars
+            twins = [Poly(table, dict(reversed(t.items())), d) for t, d in map(Poly.integer_terms, polys)]
+            ours, theirs = CompiledSystem(polys), CompiledSystem(twins)
+            for name in ("exponents", "value_coeffs", "jacobian_coeffs"):
+                a, b = getattr(ours, name), getattr(theirs, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
 
 class TestRealRunsAtDefaultCertifier:
     """Statuses and headline real sets of real runs at the default

@@ -1,8 +1,10 @@
 """End-to-end CLI tests: exit codes, flags, and the JSON report schema."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -276,11 +278,18 @@ def test_run_api_matches_cli_json(capsys):
     assert report.to_json() + "\n" == out
 
 
-def test_console_script_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "critvals.cli", "x^3 - 3*x", "--set", "k0", "--json"],
+def run_module(module):
+    """`python -m module` on the cubic's K0, importing the package these tests import."""
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, "-m", module, "x^3 - 3*x", "--set", "k0", "--json"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
+
+
+def test_console_script_entry_point():
+    proc = run_module("critvals.cli")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["results"]["k0"]["eliminant"] == "y^2 - 4"
@@ -293,10 +302,7 @@ def test_guard_refusal_exception_type():
 
 
 def test_package_main_runs_without_warning():
-    proc = subprocess.run(
-        [sys.executable, "-m", "critvals", "x^3 - 3*x", "--set", "k0", "--json"],
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = run_module("critvals")
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["results"]["k0"]["eliminant"] == "y^2 - 4"

@@ -1,6 +1,7 @@
 """Polynomial core: arithmetic, parsing, serialization, derivatives."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,19 @@ class TestParsing:
             P("")
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("bad", [(1,), (1, 2, 0), (2, -1)])
+    def test_bad_exponent_is_named(self, bad):
+        for terms in ({bad: 1}, {(0, 0): 1, (1, 1): 2, bad: 3}):
+            with pytest.raises(PolyError, match=re.escape(str(bad))):
+                Poly(XY, terms)
+
+    def test_constant_over_empty_table(self):
+        p = Poly(VarTable(()), {(): Fraction(5, 2)})
+        assert p.constant_value() == Fraction(5, 2) and p.total_degree() == 0
+        assert serialize_poly(p) == "5/2"
+
+
 class TestArithmetic:
     def test_square(self):
         assert P("(x + y)^2") == P("x^2 + 2*x*y + y^2")
@@ -117,7 +131,7 @@ class TestArithmetic:
 
     def test_integer_terms(self):
         terms, den = P("1/2*x^2 - 2/3*y + 4").integer_terms()
-        assert (list(terms.items()), den) == ([((2, 0), 3), ((0, 1), -4), ((0, 0), 24)], 6)
+        assert (terms, den) == ({(2, 0): 3, (0, 1): -4, (0, 0): 24}, 6)
         assert Poly.zero(XY).integer_terms() == ({}, 1)
 
     def test_negative_power_rejected(self):
@@ -250,6 +264,10 @@ def test_one_canonical_form_per_polynomial(p, k):
     assert scaled == p and hash(scaled) == hash(p)
     rational = Poly(p.vars, dict(p.terms()))
     assert rational == p and hash(rational) == hash(p)
+    twin = Poly(p.vars, dict(reversed(terms.items())), den)
+    assert twin == p and hash(twin) == hash(p)
+    assert serialize_poly(twin) == serialize_poly(p) and list(twin.terms()) == list(p.terms())
+    assert twin.total_degree() == p.total_degree()
     for bad in (0, -den):
         with pytest.raises(PolyError):
             Poly(p.vars, terms, bad)
