@@ -3,8 +3,9 @@
 All floating point in the package lives here.  Upstream everything is
 exact; this module compiles each exact system once into one monomial table
 (`CompiledSystem`: the monomials of every polynomial and of every first
-partial, with value and Jacobian coefficient matrices over them), and runs
-seeded multi-start local minimization on it:
+partial, with value and Jacobian coefficient matrices over them, and the
+distinct (variable, exponent) pairs those monomials use), and runs seeded
+multi-start local minimization on it:
 
   certify_real    minimizes sum of squared generators plus the pin
                   (c0(a) - y)^2 over the real arc coefficients; a final
@@ -29,8 +30,17 @@ and try counts, runs exactly the one-start control flow, and one stacked
 solve per tick takes every live member's damped step.  Every product is an
 `einsum` and every solve a LAPACK call of its own member, so a member's
 result is bitwise the same whatever else is in the stack, and seeded
-outcomes do not depend on how many restarts run.  Restarts are merged by best residual with ties broken by
-restart index.
+outcomes do not depend on how many restarts run.  Restarts are merged by
+best residual with ties broken by restart index.
+
+A point is evaluated once.  Its monomial vector takes one `pow` per
+(variable, exponent) pair that occurs, gathered C-contiguously into the
+columns' factors: the same `pow`s, multiplied in the same order on the
+same layout, as raising every variable to every column's exponent, so the
+floats are bitwise those of that kernel (a non-contiguous gather would
+change the `einsum` sums).  The residual callback returns the residuals
+and the monomials, each member carries its point's monomials next to its
+residual, and the Jacobian of an accepted point is read off them.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -134,12 +144,21 @@ class CompiledSystem:
     One exponent matrix (U x n) lists every monomial of every p_i and of
     every dp_i/dx_j once.  The value coefficients form an m x U matrix and
     the Jacobian coefficients an (m*n) x U matrix, row i*n + j holding
-    dp_i/dx_j.  An evaluation forms the monomial vectors once and reads the
-    values, or the Jacobian, off them with one `einsum`; x is one point (n,)
-    or a stack (..., n), real or complex, and each point's result does not
-    depend on the rest of the stack."""
+    dp_i/dx_j.  x is one point (n,) or a stack (..., n), real or complex,
+    and each point's result does not depend on the rest of the stack.
 
-    __slots__ = ("size", "arity", "exponents", "value_coeffs", "jacobian_coeffs")
+    `bases` and `powers` list the P distinct (variable, exponent) pairs the
+    columns use, and `pair_index` (U x n) maps each column's exponents to
+    them.  `monomials(x)` raises x to each pair once and multiplies each
+    column's factors, gathered into a C-contiguous (..., U, n) array, along
+    the last axis: bitwise `np.prod(x[..., None, :] ** exponents, axis=-1)`
+    (see the module docstring).  `values_at` and `jacobian_at` read the
+    values and the Jacobian off monomial vectors with one `einsum` each;
+    `values` and `jacobian` do both steps for callers holding only points."""
+
+    __slots__ = (
+        "size", "arity", "exponents", "bases", "powers", "pair_index", "value_coeffs", "jacobian_coeffs"
+    )
 
     def __init__(self, polys: Sequence[Poly]):
         if not polys:
@@ -160,21 +179,33 @@ class CompiledSystem:
                         dmono = mono[:j] + (e - 1,) + mono[j + 1 :]
                         col = columns.setdefault(dmono, len(columns))
                         jacobian_terms.append((i * n + j, col, float(coeff * e)))
+        pairs: dict[tuple[int, int], int] = {}
+        pair_index = [pairs.setdefault((j, e), len(pairs)) for mono in columns for j, e in enumerate(mono)]
         self.size = len(polys)
         self.arity = n
         self.exponents = np.array(list(columns), dtype=np.int64).reshape(len(columns), n)
+        self.bases = np.array([j for j, _ in pairs], dtype=np.intp)
+        self.powers = np.array([e for _, e in pairs], dtype=np.int64)
+        self.pair_index = np.array(pair_index, dtype=np.intp).reshape(len(columns), n)
         self.value_coeffs = _dense(value_terms, (self.size, len(columns)))
         self.jacobian_coeffs = _dense(jacobian_terms, (self.size * n, len(columns)))
 
     def monomials(self, x: np.ndarray) -> np.ndarray:
-        return np.prod(x[..., None, :] ** self.exponents, axis=-1)
+        """The (..., U) monomial vectors of a point or stack x (..., n)."""
+        return np.multiply.reduce((x.take(self.bases, axis=-1) ** self.powers).take(self.pair_index, axis=-1), axis=-1)
+
+    def values_at(self, monomials: np.ndarray) -> np.ndarray:
+        return np.einsum("...u,mu->...m", monomials, self.value_coeffs)
+
+    def jacobian_at(self, monomials: np.ndarray) -> np.ndarray:
+        flat = np.einsum("...u,ju->...j", monomials, self.jacobian_coeffs)
+        return flat.reshape(*monomials.shape[:-1], self.size, self.arity)
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        return np.einsum("...u,mu->...m", self.monomials(x), self.value_coeffs)
+        return self.values_at(self.monomials(x))
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        flat = np.einsum("...u,ju->...j", self.monomials(x), self.jacobian_coeffs)
-        return flat.reshape(*x.shape[:-1], self.size, self.arity)
+        return self.jacobian_at(self.monomials(x))
 
 
 def _dense(terms: list[tuple[int, int, float]], shape: tuple[int, int]) -> np.ndarray:
@@ -214,10 +245,14 @@ def _levenberg_marquardt(
     max_iters: int,
     stop_norm: float = 0.0,
     project=None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Minimize ||residual(x)||^2 from every row of the (B, k) stack x0;
-    the optional projection keeps x feasible.  residual_fn and jacobian_fn
-    map a (b, k) stack to (b, m) and (b, m, k).
+    the optional projection keeps x feasible.  residual_fn maps a (b, k)
+    stack to its residuals (b, m) and its monomial vectors (b, U), and
+    jacobian_fn maps a stack and its monomials to (b, m, k).  Each member
+    keeps the monomials of its point next to its residual, so the Jacobian
+    of an accepted point reads them instead of evaluating the point again.
+    Returns the final stack and its monomials.
 
     Deterministic damped Gauss-Newton, run for each member as if alone:
     an outer iteration stops on a small residual or gradient and forms J;
@@ -228,7 +263,7 @@ def _levenberg_marquardt(
     x = np.array(x0, dtype=float)
     if project is not None:
         x = project(x)
-    r = residual_fn(x)
+    r, mono = residual_fn(x)
     cost = np.einsum("bm,bm->b", r, r)
     size, k = x.shape
     lam = np.full(size, 1e-3)
@@ -242,7 +277,7 @@ def _levenberg_marquardt(
         live[head[stop]] = False
         head = head[~stop]
         if head.size:
-            J = jacobian_fn(x[head])
+            J = jacobian_fn(x[head], mono[head])
             g = np.einsum("bmk,bm->bk", J, r[head])
             flat = np.sqrt(np.einsum("bk,bk->b", g, g)) < 1e-16 * (1 + cost[head])
             live[head[flat]] = False
@@ -253,18 +288,18 @@ def _levenberg_marquardt(
             fresh[head] = False
         idx = np.flatnonzero(live)
         if not idx.size:
-            return x
+            return x, mono
         damped = normal[idx]
         damped[:, diagonal, diagonal] += lam[idx, None]
         step, solved = _solve_stack(damped, -grad[idx])
         cand = x[idx] + step
         if project is not None:
             cand = project(cand)
-        rc = residual_fn(cand)
+        rc, mc = residual_fn(cand)
         cc = np.einsum("bm,bm->b", rc, rc)
         better = solved & (cc < cost[idx])
         won, lost = idx[better], idx[~better]
-        x[won], r[won], cost[won] = cand[better], rc[better], cc[better]
+        x[won], r[won], mono[won], cost[won] = cand[better], rc[better], mc[better], cc[better]
         lam[won] = np.maximum(lam[won] / 3, 1e-12)
         fresh[won] = True
         lam[lost] *= 10
@@ -320,26 +355,30 @@ def certify_zero(
     target = np.zeros(system.size)
     target[-1] = y
 
-    def residual(x: np.ndarray) -> np.ndarray:
-        return system.values(x) - target
+    def residual(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mono = system.monomials(x)
+        return system.values_at(mono) - target, mono
 
-    def metric(x: np.ndarray) -> np.ndarray:
-        v = system.values(x)
+    def jacobian(x: np.ndarray, mono: np.ndarray) -> np.ndarray:
+        return system.jacobian_at(mono)
+
+    def metric(mono: np.ndarray) -> np.ndarray:
+        v = system.values_at(mono)
         res = np.max(np.abs(v[:, :-1]), axis=1, initial=0.0) + np.abs(v[:, -1] - y)
         return np.where(np.isnan(res), math.inf, res)
 
     rng = np.random.default_rng(cfg.seed)
     scales = (0.5, 1.0, 2.0, 4.0)
     starts = [rng.normal(size=system.arity) * scales[i % len(scales)] for i in range(cfg.restarts)]
-    xs = _levenberg_marquardt(residual, system.jacobian, np.array(starts), cfg.max_iters)
-    res = metric(xs)
+    xs, monos = _levenberg_marquardt(residual, jacobian, np.array(starts), cfg.max_iters)
+    res = metric(monos)
     best = int(np.argmin(res))  # the first of the smallest
     best_x, best_res = xs[best], float(res[best])
 
     if best_res < cfg.tolerance:
         # refinement check: one extra damped-Newton pass may not worsen it
-        polished = _levenberg_marquardt(residual, system.jacobian, xs[best : best + 1], 1)
-        polished_res = float(metric(polished)[0])
+        polished, polished_mono = _levenberg_marquardt(residual, jacobian, xs[best : best + 1], 1)
+        polished_res = float(metric(polished_mono)[0])
         if polished_res <= best_res:
             best_x, best_res = polished[0], polished_res
         return CertificationOutcome(
@@ -383,7 +422,7 @@ def certify_critical_point(
 def malgrange_probe(
     f: Poly,
     y: complex,
-    radii: Sequence[float],
+    radii: Iterable[float],
     cfg: ProbeConfig | None = None,
     field: str = "complex",
 ) -> ProbeTrace:
@@ -393,10 +432,16 @@ def malgrange_probe(
     witnessing the failure of the Malgrange condition at y.  Warm starts
     carry the best point of one radius to the next, so genuine asymptotic
     curves are tracked outward.  y must be finite (and real for field
-    "real"), and the radii finite, positive and strictly increasing."""
-    pairs = zip(radii, list(radii)[1:])
+    "real"), and the radii, any iterable of real numbers, finite, positive
+    and strictly increasing."""
+    schedule = "radii must be a nonempty strictly increasing schedule of finite positive numbers"
+    try:
+        radii = tuple(float(r) for r in radii)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CertifyError(schedule) from exc
+    pairs = zip(radii, radii[1:])
     if not radii or radii[0] <= 0 or not all(map(math.isfinite, radii)) or any(a >= b for a, b in pairs):
-        raise CertifyError("radii must be a nonempty strictly increasing schedule of finite positive numbers")
+        raise CertifyError(schedule)
     if field not in ("complex", "real"):
         raise CertifyError(f"unknown field {field!r}")
     if not cmath.isfinite(y) or (field == "real" and isinstance(y, complex)):
@@ -434,12 +479,13 @@ def _probe_steps(f: Poly, y: complex, radii: Sequence[float], cfg: ProbeConfig, 
         # radius * grad f and f - y: the gradient rows carry the radius
         scale = np.array([radius] * n + [1.0])
 
-        def residual(u: np.ndarray) -> np.ndarray:
-            z = system.values(point(u)) * scale - target
-            return np.concatenate([z.real, z.imag], axis=1) if is_complex else z
+        def residual(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            mono = system.monomials(point(u))
+            z = system.values_at(mono) * scale - target
+            return (np.concatenate([z.real, z.imag], axis=1) if is_complex else z), mono
 
-        def tangent_jacobian(u: np.ndarray) -> np.ndarray:
-            J = system.jacobian(point(u)) * scale[:, None]
+        def tangent_jacobian(u: np.ndarray, mono: np.ndarray) -> np.ndarray:
+            J = system.jacobian_at(mono) * scale[:, None]
             if is_complex:
                 # d(g_l)/du_j = g_l', d/dv_j = i*g_l' (holomorphy)
                 top = np.concatenate([J.real, -J.imag], axis=2)
@@ -454,10 +500,10 @@ def _probe_steps(f: Poly, y: complex, radii: Sequence[float], cfg: ProbeConfig, 
 
         starts = [] if carry is None else [carry]
         starts += [rng.normal(size=k) for _ in range(cfg.samples_per_radius - len(starts))]
-        us = _levenberg_marquardt(
+        us, monos = _levenberg_marquardt(
             residual, tangent_jacobian, project(np.array(starts)), cfg.max_iters, stop_norm=floor, project=project
         )
-        v = system.values(point(us))
+        v = system.values_at(monos)
         misses = np.abs(v[:, -1] - y)
         values = np.maximum(radius * np.sqrt(np.sum(np.abs(v[:, :n]) ** 2, axis=1)), misses)
 

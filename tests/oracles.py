@@ -32,7 +32,9 @@ Certifier: `reference_levenberg_marquardt` is the package's earlier
 one-start Levenberg-Marquardt, and `reference_certify_zero` and
 `reference_probe_steps` run the certification and the Malgrange probe on it
 one start at a time, the reference for the batched search in
-`critvals.certify`.
+`critvals.certify`.  `reference_monomials` is the earlier monomial kernel,
+every variable raised to every column's exponent, the bitwise reference for
+`CompiledSystem.monomials`.
 """
 
 import math
@@ -582,6 +584,11 @@ def reference_refine_interval(p: Poly, interval: RootInterval, width: Fraction) 
 
 
 # ---- one-start certifier ----
+
+
+def reference_monomials(system: CompiledSystem, x: np.ndarray) -> np.ndarray:
+    """The (..., U) monomial vectors of x (..., n): one `pow` per column and variable."""
+    return np.prod(x[..., None, :] ** system.exponents, axis=-1)
 
 
 def reference_levenberg_marquardt(

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import reference_certify_zero, reference_probe_steps
+from oracles import reference_certify_zero, reference_monomials, reference_probe_steps
 
-from critvals import cli
+from critvals import certify, cli
 from critvals.arcs import ArcShape
 from critvals.certify import (
     CompiledSystem,
@@ -321,6 +321,21 @@ class TestMalgrangeProbe:
         with pytest.raises(CertifyError):
             malgrange_probe(BROUGHTON, y, radii, field=field)
 
+    def test_radii_from_any_iterable(self):
+        # an array used to raise numpy's "truth value ... ambiguous" ValueError
+        # and an iterator a TypeError
+        rows = malgrange_probe(BROUGHTON, 0.0, (10.0, 100.0)).rows
+        assert malgrange_probe(BROUGHTON, 0.0, np.array([10.0, 100.0])).rows == rows
+        assert malgrange_probe(BROUGHTON, 0.0, iter([10, 100])).rows == rows
+
+    @pytest.mark.parametrize(
+        "radii",
+        [np.array([10.0, 10.0]), np.array([]), np.array([[10.0, 100.0]]), iter([100.0, 10.0]), ["ten"], [1j], 10.0],
+    )
+    def test_bad_schedule_of_any_type(self, radii):
+        with pytest.raises(CertifyError, match="radii"):
+            malgrange_probe(BROUGHTON, 0.0, radii)
+
     def test_trace_rows_increasing_guard(self):
         with pytest.raises(CertifyError):
             ProbeTrace((ProbeRow(10.0, 1.0, False), ProbeRow(5.0, 1.0, False)))
@@ -382,8 +397,14 @@ def _run_lm(case: str, starts: np.ndarray, max_iters: int) -> np.ndarray:
     system, y, project = LM_CASES[case]
     target = np.zeros(system.size)
     target[-1] = y
+
+    def residual(x):
+        mono = system.monomials(x)
+        return system.values_at(mono) - target, mono
+
     with np.errstate(all="ignore"):
-        return _levenberg_marquardt(lambda x: system.values(x) - target, system.jacobian, starts, max_iters, project=project)
+        x, _ = _levenberg_marquardt(residual, lambda x, mono: system.jacobian_at(mono), starts, max_iters, project=project)
+    return x
 
 
 @st.composite
@@ -471,3 +492,97 @@ class TestAgainstOneStartReference:
             # the floor, so rounding moves the point by about 2e-3 * radius;
             # another start would land a distance of order radius away
             assert np.linalg.norm(carry - ref_carry) < 1e-2 * row.radius
+
+
+# ---- the monomial kernel ----
+
+# the batched-search systems, the probe system of Broughton's polynomial (its
+# gradient, then f), a constant-only system and a zero polynomial, whose
+# exponent matrix is (0, n)
+MONOMIAL_CASES = {
+    **{case: system for case, (system, _, _) in LM_CASES.items()},
+    "probe": CompiledSystem([*(BROUGHTON.partial_derivative(j) for j in range(2)), BROUGHTON]),
+    "constant": CompiledSystem([Poly.const(XY, Fraction(-3, 7)), Poly.const(XY, Fraction(2))]),
+    "zero": CompiledSystem([Poly.zero(XY)]),
+}
+
+
+@st.composite
+def monomial_points(draw):
+    """A system, and a point (n,) or stack (1, n) / (B, n), real or complex,
+    with coordinates among 0, +-1, +-1e160 and ordinary values."""
+    case = draw(st.sampled_from(sorted(MONOMIAL_CASES)))
+    system = MONOMIAL_CASES[case]
+    n = system.arity
+    lead = draw(st.sampled_from(((), (1,), (draw(st.integers(2, 5)),))))
+    coordinate = st.one_of(
+        st.sampled_from((0.0, -0.0, 1.0, -1.0, 1e160, -1e160)), st.floats(-4, 4, allow_nan=False),
+        st.floats(-1e160, 1e160),
+    )
+    size = math.prod(lead) * n
+    x = np.array(draw(st.lists(coordinate, min_size=size, max_size=size))).reshape(*lead, n)
+    if draw(st.booleans()):
+        x = x + 1j * np.array(draw(st.lists(coordinate, min_size=size, max_size=size))).reshape(*lead, n)
+    return case, x
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_points())
+@example(("arc", np.full(6, 1e160)))
+@example(("probe", np.array([[0.0, -0.0], [-1e160, 1e160 + 1e-160j]])))
+@example(("zero", np.ones((3, 2)) * 1j))
+def test_monomials_values_and_jacobian_match_the_one_pow_per_entry_kernel(case_point):
+    # bitwise: the values, and so every seeded search, are those of the
+    # kernel that raised every variable to every column's exponent
+    case, x = case_point
+    system = MONOMIAL_CASES[case]
+    with np.errstate(all="ignore"):
+        mono, ref = system.monomials(x), reference_monomials(system, x)
+        values, jacobian = system.values(x), system.jacobian(x)
+        ref_values = np.einsum("...u,mu->...m", ref, system.value_coeffs)
+        ref_jacobian = np.einsum("...u,ju->...j", ref, system.jacobian_coeffs)
+    assert mono.flags.c_contiguous
+    assert mono.shape == ref.shape and mono.dtype == ref.dtype and mono.tobytes() == ref.tobytes()
+    assert values.shape == (*x.shape[:-1], system.size) and values.tobytes() == ref_values.tobytes()
+    assert jacobian.shape == (*x.shape[:-1], system.size, system.arity)
+    assert jacobian.tobytes() == ref_jacobian.reshape(jacobian.shape).tobytes()
+
+
+def test_monomials_raise_only_the_powers_the_columns_use():
+    # a table of every power up to the largest exponent would form 1e3^300
+    # and overflow; the columns of x^300 + y use y^0 and y^1 only
+    system = CompiledSystem([parse_poly("x^300 + y", XY)])
+    assert system.powers.size == 5  # x^0, x^300, x^299, y^0, y^1
+    with np.errstate(over="raise"):
+        assert system.values(np.array([0.5, 1e3]))[0] == 0.5**300 + 1e3
+
+
+def test_each_point_is_evaluated_once(monkeypatch):
+    # the Jacobian reads the monomials that the residual formed for its point,
+    # so a search forms monomial vectors exactly once per residual evaluation
+    counts = {"monomials": 0, "residual": 0, "jacobian": 0}
+    monomials, search = CompiledSystem.monomials, certify._levenberg_marquardt
+
+    def counted_monomials(system, x):
+        counts["monomials"] += 1
+        return monomials(system, x)
+
+    def counted_search(residual_fn, jacobian_fn, *args, **kwargs):
+        def residual(x):
+            counts["residual"] += 1
+            return residual_fn(x)
+
+        def jacobian(x, mono):
+            counts["jacobian"] += 1
+            return jacobian_fn(x, mono)
+
+        return search(residual, jacobian, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledSystem, "monomials", counted_monomials)
+    monkeypatch.setattr(certify, "_levenberg_marquardt", counted_search)
+    system = compile_critical_point_system(parse_poly("x^3 - 3*x", X))
+    assert certify_zero(system, 2.0, CertifyConfig(restarts=4)).certified  # with the polishing pass
+    assert counts["jacobian"] > 0 and counts["monomials"] == counts["residual"]
+    counts.update(monomials=0, residual=0, jacobian=0)
+    malgrange_probe(BROUGHTON, 0.0, (10.0, 100.0), ProbeConfig(samples_per_radius=4))
+    assert counts["jacobian"] > 0 and counts["monomials"] == counts["residual"]
