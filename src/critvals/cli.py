@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from .arcs import ArcError, ArcShape, paper_bounds_complex, paper_bounds_real
@@ -178,10 +178,9 @@ def _dump_arc_system(sys_obj: EquationSystem) -> dict[str, Any]:
 def run(cfg: RunConfig, text: str) -> CriticalValueReport:
     t_start = time.perf_counter()
     components = _split_components(text, cfg.value_set)
-    if cfg.variables is not None:
-        names = _validated_variables(cfg.variables)
-    else:
-        names = _infer_variables(components)
+    names = _validated_variables(
+        cfg.variables if cfg.variables is not None else _infer_variables(components)
+    )
     table = VarTable(names)
     polys = [parse_poly(part, table) for part in components]
 
@@ -236,12 +235,7 @@ def run(cfg: RunConfig, text: str) -> CriticalValueReport:
         "bounds": None
         if shape is None
         else {"source": shape.bound_source, "D1": shape.D1, "D2": shape.D2},
-        "limits": {
-            "max_pairs": cfg.limits.max_pairs,
-            "max_basis_size": cfg.limits.max_basis_size,
-            "max_coefficient_bits": cfg.limits.max_coefficient_bits,
-            "wall_clock_budget": cfg.limits.wall_clock_budget,
-        },
+        "limits": asdict(cfg.limits),
         "certifier": {
             "tolerance": cfg.certifier.tolerance,
             "restarts": cfg.certifier.restarts,
@@ -261,13 +255,7 @@ def run(cfg: RunConfig, text: str) -> CriticalValueReport:
 
 
 def _limits_from_env_and_args(args: argparse.Namespace) -> ResourceLimits:
-    base = ResourceLimits()
-    values = {
-        "max_pairs": base.max_pairs,
-        "max_basis_size": base.max_basis_size,
-        "max_coefficient_bits": base.max_coefficient_bits,
-        "wall_clock_budget": base.wall_clock_budget,
-    }
+    values = asdict(ResourceLimits())
     raw = os.environ.get(LIMITS_ENV_VAR, "")
     if raw.strip():
         for item in raw.split(","):
@@ -279,7 +267,7 @@ def _limits_from_env_and_args(args: argparse.Namespace) -> ResourceLimits:
                     "key=value with keys " + ", ".join(sorted(values))
                 )
             try:
-                values[key] = float(val) if key == "wall_clock_budget" else int(val)
+                values[key] = type(values[key])(val)  # int or float, as the default
             except ValueError:
                 raise UsageError(f"bad {LIMITS_ENV_VAR} value in {item.strip()!r}") from None
     for key in values:

@@ -2,10 +2,14 @@
 elimination uses, and the minimal polynomial of a multiplication map on a
 zero-dimensional quotient.
 
-The kernel is order-native.  On entry every monomial is encoded once by the
-term order into a tuple whose natural tuple order is the term order:
+An ideal names how many variables it eliminates: the first `eliminate` of
+its table, so the eliminated variables come first, in table order.  Its
+term order is grevlex on that block, then grevlex on the rest (plain
+grevlex for eliminate=0).  The kernel is order-native.  On entry every
+monomial is encoded once into a tuple whose natural tuple order is the
+term order:
 
-  grevlex  (deg, -e_n, ..., -e_1) over the permuted exponents e_1..e_n;
+  grevlex  (deg, -e_n, ..., -e_1) over the exponents e_1..e_n in table order;
   block    the grevlex encodings of the two blocks, concatenated.
 
 The encoding is linear in the exponents, so comparing two monomials is one
@@ -43,20 +47,19 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from operator import add, itemgetter, le, neg, sub
-from typing import Callable, Literal, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .poly import Poly, VarTable, _positive_lead, _product, _strip_content
 
 Mono = tuple[int, ...]
-OrderKind = Literal["grevlex", "block"]
 
 
 class GroebnerError(Exception):
-    """Structural misuse: empty ideal, bad order, mixed tables."""
+    """Structural misuse: empty ideal, bad elimination count, mixed tables."""
 
 
 class LimitExceeded(Exception):
@@ -70,7 +73,7 @@ class LimitExceeded(Exception):
 
 @dataclass(frozen=True)
 class ResourceLimits:
-    """Caps on the Buchberger run; all positive."""
+    """Caps on the Buchberger run; all positive, the budget finite."""
 
     max_pairs: int = 500_000
     max_basis_size: int = 10_000
@@ -80,77 +83,19 @@ class ResourceLimits:
     def __post_init__(self) -> None:
         if min(self.max_pairs, self.max_basis_size, self.max_coefficient_bits) <= 0:
             raise GroebnerError("resource limits must be positive")
-        if self.wall_clock_budget <= 0:
-            raise GroebnerError("resource limits must be positive")
+        budget = self.wall_clock_budget
+        if not (math.isfinite(budget) and budget > 0):
+            raise GroebnerError(f"wall_clock_budget must be finite and positive, got {budget}")
 
 
-@dataclass(frozen=True)
-class TermOrder:
-    """Monomial order: variable permutation plus comparison kind.
+class _Order(NamedTuple):
+    """The term order of an ideal over `arity` variables, as maps on
+    encoded monomials; see the module docstring."""
 
-    var_order[k] is the table index of the variable at comparison position
-    k (position 0 is the most significant).  For kind "block", the first
-    `split` positions form the eliminated block: monomials compare grevlex
-    on that block first, then grevlex on the rest, so any Groebner basis
-    intersected with the kept variables generates the elimination ideal.
-    """
-
-    kind: OrderKind
-    var_order: tuple[int, ...]
-    split: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("grevlex", "block"):
-            raise GroebnerError(f"unknown order kind {self.kind!r}")
-        if sorted(self.var_order) != list(range(len(self.var_order))):
-            raise GroebnerError(f"variable order {self.var_order} is not a permutation")
-        if self.kind == "block" and not 0 <= self.split <= len(self.var_order):
-            raise GroebnerError(f"block split {self.split} out of range")
-
-    @cached_property
-    def _codec(self) -> tuple[Callable[[Mono], Mono], Callable[[Mono], Mono], Callable[[Mono], int]]:
-        """(encode, decode, degree) on encoded monomials of this order."""
-        vo = self.var_order
-        # graded segments, each encoded as (deg, -e_last, ..., -e_first)
-        if self.kind == "grevlex":
-            segments = [vo[::-1]]
-        else:
-            segments = [vo[: self.split][::-1], vo[self.split :][::-1]]
-        pickers = [_picker(segment) for segment in segments]
-        positions = [0] * len(vo)  # encoded position of each table index
-        degree_at = []
-        offset = 0
-        for segment in segments:
-            degree_at.append(offset)
-            for p, i in enumerate(segment, start=offset + 1):
-                positions[i] = p
-            offset += len(segment) + 1
-        pick = _picker(positions)
-
-        def encode(mono: Mono) -> Mono:
-            out: list[int] = []
-            for segment in pickers:
-                exps = segment(mono)
-                out.append(sum(exps))
-                out.extend(map(neg, exps))
-            return tuple(out)
-
-        def decode(encoded: Mono) -> Mono:
-            return tuple(map(neg, pick(encoded)))
-
-        return encode, decode, lambda m: sum(m[q] for q in degree_at)
-
-    def encode(self, mono: Mono) -> Mono:
-        """Encode table-order exponents; tuple order on encodings is this order."""
-        return self._codec[0](mono)
-
-    def decode(self, encoded: Mono) -> Mono:
-        """Table-order exponents of an encoded monomial."""
-        return self._codec[1](encoded)
-
-    def degree(self, encoded: Mono) -> int:
-        """Total degree of an encoded monomial."""
-        return self._codec[2](encoded)
+    arity: int
+    encode: Callable[[Mono], Mono]  # table-order exponents -> encoding
+    decode: Callable[[Mono], Mono]  # encoding -> table-order exponents
+    degree: Callable[[Mono], int]  # total degree of an encoding
 
 
 def _picker(indices: Sequence[int]) -> Callable[[Mono], Mono]:
@@ -162,23 +107,48 @@ def _picker(indices: Sequence[int]) -> Callable[[Mono], Mono]:
     return itemgetter(*indices)
 
 
-def grevlex_order(arity: int) -> TermOrder:
-    return TermOrder("grevlex", tuple(range(arity)))
+@cache
+def _order(arity: int, eliminate: int) -> _Order:
+    """Grevlex on the first `eliminate` variables, then grevlex on the
+    rest; plain grevlex when either block is empty."""
+    blocks = (range(eliminate), range(eliminate, arity))
+    # graded segments, each encoded as (deg, -e_last, ..., -e_first)
+    segments = [block[::-1] for block in blocks if block]
+    pickers = [_picker(segment) for segment in segments]
+    positions = [0] * arity  # encoded position of each table index
+    degree_at = []
+    offset = 0
+    for segment in segments:
+        degree_at.append(offset)
+        for p, i in enumerate(segment, start=offset + 1):
+            positions[i] = p
+        offset += len(segment) + 1
+    pick = _picker(positions)
 
+    def encode(mono: Mono) -> Mono:
+        out: list[int] = []
+        for segment in pickers:
+            exps = segment(mono)
+            out.append(sum(exps))
+            out.extend(map(neg, exps))
+        return tuple(out)
 
-def block_elim_order(arity: int, eliminate: Sequence[int]) -> TermOrder:
-    """Order eliminating the given table indices (they compare above the rest)."""
-    elim = list(eliminate)
-    keep = [i for i in range(arity) if i not in set(elim)]
-    return TermOrder("block", tuple(elim + keep), split=len(elim))
+    def decode(encoded: Mono) -> Mono:
+        return tuple(map(neg, pick(encoded)))
+
+    return _Order(arity, encode, decode, lambda m: sum(m[q] for q in degree_at))
 
 
 @dataclass(frozen=True)
 class Ideal:
-    """Generator list with an explicit term order for basis computations."""
+    """Generators over one table, and how many of its variables, taken from
+    the front of the table, the term order eliminates: grevlex on that
+    block, then grevlex on the rest.  A Groebner basis under this order,
+    intersected with the remaining variables, generates the elimination
+    ideal; eliminate=0 is plain grevlex."""
 
     generators: tuple[Poly, ...]
-    order: TermOrder
+    eliminate: int = 0
 
     def __post_init__(self) -> None:
         tables = {g.vars for g in self.generators}
@@ -187,18 +157,19 @@ class Ideal:
         for g in self.generators:
             if g.is_zero():
                 raise GroebnerError("zero generator in ideal")
-        if self.generators and len(self.order.var_order) != self.generators[0].vars.arity:
-            raise GroebnerError("order arity does not match generator table")
+        arity = self.generators[0].vars.arity if self.generators else 0
+        if not 0 <= self.eliminate <= arity:
+            raise GroebnerError(f"cannot eliminate {self.eliminate} of {arity} variables")
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
     """Reduced basis: content-free integer coefficients, positive leading
     coefficient, no leading monomial divides another, sorted by descending
-    leading monomial."""
+    leading monomial.  `eliminate` is the ideal's."""
 
     basis: tuple[Poly, ...]
-    order: TermOrder
+    eliminate: int
 
 
 # ---- monomials: products and quotients on encodings, divisibility on exponents ----
@@ -228,7 +199,7 @@ def _support(exps: Mono, bits: Sequence[int]) -> int:
 # ---- integer term dicts on encoded monomials ----
 
 
-def _encode_poly(p: Poly, order: TermOrder) -> tuple[dict[Mono, int], Fraction]:
+def _encode_poly(p: Poly, order: _Order) -> tuple[dict[Mono, int], Fraction]:
     """Encoded monomials of p's numerators, content stripped; and the
     positive factor s of the result = s * p.  p must be nonzero."""
     terms, den = p.integer_terms()
@@ -236,7 +207,7 @@ def _encode_poly(p: Poly, order: TermOrder) -> tuple[dict[Mono, int], Fraction]:
     return out, Fraction(den, _strip_content(out))
 
 
-def _to_poly(f: dict[Mono, int], vars: VarTable, order: TermOrder) -> Poly:
+def _to_poly(f: dict[Mono, int], vars: VarTable, order: _Order) -> Poly:
     return Poly(vars, {order.decode(m): c for m, c in f.items()})
 
 
@@ -314,11 +285,11 @@ def _pop_lead(work: dict[Mono, int], heap: list[Mono]) -> Mono:
 class _Run:
     """One Buchberger computation: its basis, pair queue, limits and clock."""
 
-    def __init__(self, order: TermOrder, limits: ResourceLimits):
+    def __init__(self, order: _Order, limits: ResourceLimits):
         self.order = order
         self.limits = limits
         self.start = time.monotonic()
-        self.bits = [1 << i for i in range(len(order.var_order))]
+        self.bits = [1 << i for i in range(order.arity)]
         self.basis: list[_Entry] = []
         self.pairs: dict[tuple[int, int], Mono] = {}  # live pair -> lcm exponents
         self.queue: list[tuple] = []  # heap of (sugar, encoded lcm, i, j)
@@ -460,9 +431,9 @@ def buchberger(ideal: Ideal, limits: ResourceLimits | None = None) -> GroebnerBa
     if not ideal.generators:
         raise GroebnerError("buchberger needs at least one generator")
     limits = limits or ResourceLimits()
-    order = ideal.order
-    degree = order.degree
     vars = ideal.generators[0].vars
+    order = _order(vars.arity, ideal.eliminate)
+    degree = order.degree
     run = _Run(order, limits)
     basis = run.basis
 
@@ -509,7 +480,7 @@ def buchberger(ideal: Ideal, limits: ResourceLimits | None = None) -> GroebnerBa
         reduced.append((entry.lm, nf))
 
     reduced.sort(key=lambda item: item[0], reverse=True)
-    return GroebnerBasis(tuple(_to_poly(f, vars, order) for _, f in reduced), order)
+    return GroebnerBasis(tuple(_to_poly(f, vars, order) for _, f in reduced), ideal.eliminate)
 
 
 def _reducers(gb: GroebnerBasis, run: _Run) -> list[_Entry]:
@@ -525,7 +496,7 @@ def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
     reduction, zero iff p is in the ideal."""
     if p.is_zero():
         return p
-    order = gb.order
+    order = _order(p.vars.arity, gb.eliminate)
     run = _Run(order, ResourceLimits())
     work, scale = _encode_poly(p, order)
     nf, s = run.normal_form(work, _reducers(gb, run))
@@ -546,7 +517,7 @@ def minimal_polynomial(
     the first linear dependence; a fraction-free echelon keyed by leading
     monomial finds it.  The loop shares the run's clock, and
     max_coefficient_bits holds for every Krylov vector."""
-    order = gb.order
+    order = _order(p.vars.arity, gb.eliminate)
     limits = limits or ResourceLimits()
     run = _Run(order, limits)
     reducers = _reducers(gb, run)
@@ -554,7 +525,7 @@ def minimal_polynomial(
     if 0 not in pure and len(pure) < len(run.bits):
         return None
     mult, alpha = _encode_poly(p, order)
-    vec, scale = run.normal_form({order.encode((0,) * len(run.bits)): 1}, reducers)
+    vec, scale = run.normal_form({order.encode((0,) * order.arity): 1}, reducers)
     scales: list[Fraction] = []  # vector k is scales[k] * v_k
     rows: dict[Mono, tuple[dict[Mono, int], dict[int, int]]] = {}  # pivot -> (row, combination)
     while True:

@@ -18,7 +18,7 @@ from typing import Any, Sequence
 from .certify import CertificationOutcome
 from .solve import Diagnostics, SFResult, UnivariateResult
 from .poly import serialize_poly
-from .univariate import RootInterval
+from .univariate import ComplexRoot, RootInterval
 
 REPORT_INTERVAL_WIDTH = Fraction(1, 10**12)
 
@@ -33,19 +33,12 @@ class RealRootEntry:
 
 
 @dataclass(frozen=True)
-class ComplexRootEntry:
-    re: float
-    im: float
-    residual: float
-
-
-@dataclass(frozen=True)
 class ValueSetReport:
     name: str
     eliminant: str
     completeness: str
     real_roots: tuple[RealRootEntry, ...]
-    complex_roots: tuple[ComplexRootEntry, ...]
+    complex_roots: tuple[ComplexRoot, ...]
     headline_real: tuple[float, ...] | None
     diagnostics: Diagnostics
 
@@ -174,9 +167,7 @@ def build_value_set_report(
         eliminant=serialize_poly(result.eliminant),
         completeness=result.completeness,
         real_roots=tuple(reals),
-        complex_roots=tuple(
-            ComplexRootEntry(c.re, c.im, c.residual) for c in result.complex_roots
-        ),
+        complex_roots=result.complex_roots,
         headline_real=tuple(headline) if headline is not None else None,
         diagnostics=result.diagnostics,
     )
@@ -186,7 +177,7 @@ def build_sf_report(
     result: SFResult, image_variables: tuple[str, ...]
 ) -> SFReport:
     return SFReport(
-        generators=tuple(serialize_poly(g) for g in result.ideal.generators),
+        generators=tuple(serialize_poly(g) for g in result.generators),
         image_variables=image_variables,
         diagnostics=result.diagnostics,
     )

@@ -2,7 +2,8 @@
 
 Every elimination is the same move, made by one routine
 (`_eliminate_images`): adjoin image variables pinned to the relevant
-polynomials, eliminate everything else with a block order, and keep the
+polynomials after the source variables, eliminate the source variables
+(first in the table, in table order) with a block order, and keep the
 basis elements in the image variables alone.  K0, Kinf and K then read
 their value set off the univariate eliminant.  For a finite image this
 computes the image of the variety exactly.
@@ -43,9 +44,7 @@ from .groebner import (
     Ideal,
     LimitExceeded,
     ResourceLimits,
-    block_elim_order,
     buchberger,
-    grevlex_order,
     minimal_polynomial,
 )
 from .poly import Poly, VarTable
@@ -114,9 +113,10 @@ class UnivariateResult:
 
 @dataclass(frozen=True)
 class SFResult:
-    """Elimination ideal of the non-properness variety in y1..ym."""
+    """Generators of the elimination ideal of the non-properness variety,
+    over the image variables y1..ym."""
 
-    ideal: Ideal
+    generators: tuple[Poly, ...]
     diagnostics: Diagnostics
 
 
@@ -156,7 +156,7 @@ def _eliminate_images(
     sources = map(Poly.integer_terms, (*images, *generators))
     lifted = [Poly(ext, {mono + pins: c for mono, c in t.items()}, d) for t, d in sources]
     gens = lifted[m:] + [Poly.variable(ext, n + l) - lifted[l] for l in range(m)]
-    gb = buchberger(Ideal(tuple(gens), block_elim_order(ext.arity, range(n))), limits)
+    gb = buchberger(Ideal(tuple(gens), eliminate=n), limits)
     image_table, image_vars = VarTable(names), set(range(n, n + m))
     pure = tuple(
         Poly(image_table, {mono[n:]: c for mono, c in t.items()}, d)
@@ -245,7 +245,7 @@ def compute_k0(
     n = f.vars.arity
     grads = [g for g in (f.partial_derivative(j) for j in range(n)) if not g.is_zero()]
     with _one_budget(limits) as left:
-        gb = buchberger(Ideal(tuple(grads), grevlex_order(n)), left())
+        gb = buchberger(Ideal(tuple(grads)), left())
         eliminant = minimal_polynomial(f, gb, Y_TABLE, left())
         if eliminant is None:
             eliminant, diagnostics = _eliminant(grads, f, left())
@@ -344,7 +344,6 @@ def compute_sF(
     sufficient bounds.  `system` is that system if the caller has built it
     already."""
     sys = _prebuilt(system, "AVmap", shape) or build_av_system(F, shape)
-    m = len(sys.c0)
-    image_names = tuple(f"y{l}" for l in range(1, m + 1))
+    image_names = tuple(f"y{l}" for l in range(1, len(sys.c0) + 1))
     selected, diagnostics = _eliminate_images(sys.generators, sys.c0, image_names, limits)
-    return SFResult(ideal=Ideal(selected, grevlex_order(m)), diagnostics=diagnostics)
+    return SFResult(generators=selected, diagnostics=diagnostics)

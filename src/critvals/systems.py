@@ -134,18 +134,16 @@ def build_system(f: Poly, shape: ArcShape, mode: Mode) -> EquationSystem:
     )
 
 
-def build_av_system(
-    F: Sequence[Poly], shape: ArcShape, generalized: bool = False
-) -> EquationSystem:
+def build_av_system(F: Sequence[Poly], shape: ArcShape) -> EquationSystem:
     """Arc-coefficient equations for the non-properness variety of the map
-    F: positive t-powers of every component vanish, plus normalization
-    unless generalized.  c0 carries one entry per component."""
+    F: positive t-powers of every component vanish, plus normalization.
+    c0 carries one entry per component."""
     if not F:
         raise SystemError("empty map")
     for p in F:
         if p.vars.arity != shape.n:
             raise SystemError("map components must share the shape's arity")
-    if not generalized and shape.D1 < 1:
+    if shape.D1 < 1:
         raise SystemError("normalized systems need D1 >= 1 (the arc must escape)")
     gens: list[Poly] = []
     tags: list[GeneratorTag] = []
@@ -159,9 +157,8 @@ def build_av_system(
                 gens.append(c)
                 tags.append(GeneratorTag("c", (l, k)))
         c0.append(powers.coefficient(s, den, 0))
-    if not generalized:
-        gens.append(normalization_poly(shape))
-        tags.append(GeneratorTag("norm", ()))
+    gens.append(normalization_poly(shape))
+    tags.append(GeneratorTag("norm", ()))
     return EquationSystem(
         shape=shape,
         generators=tuple(gens),

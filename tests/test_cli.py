@@ -235,6 +235,23 @@ class TestConfigValidation:
         code, _, _ = run_main(capsys, "x^2", "--set", "k0", "--vars", "x,2y")
         assert code == 2
 
+    def test_inferred_names_are_validated(self, capsys):
+        # an indexed name reads as one token, but --vars rejects it as a name;
+        # inferred names pass the same check
+        code, doc = run_json(capsys, "a[1][1]^2 + x", "--set", "k0")
+        assert code == 2
+        assert doc["error"]["message"] == "invalid variable name 'a[1][1]'"
+
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_non_finite_budget_is_2(self, capsys, budget):
+        # a nan budget never trips, and --json would echo NaN or Infinity,
+        # neither of which is JSON
+        code, doc = run_json(
+            capsys, "x + x^2*y", "--set", "kinf", "--bounds", "1,1", "--budget", budget
+        )
+        assert code == 2
+        assert "wall_clock_budget must be finite" in doc["error"]["message"]
+
     @pytest.mark.parametrize(
         "flag, value, setting",
         [("--restarts", "0", "restarts"), ("--restarts", "-3", "restarts"),
@@ -262,6 +279,21 @@ class TestLimitsEnvVar:
         code, doc = run_json(capsys, PAIRED_K0, "--set", "k0", "--max-pairs", "100000")
         assert code == 0
         assert doc["config"]["limits"]["max_pairs"] == 100000
+
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_non_finite_env_budget_is_2(self, capsys, monkeypatch, budget):
+        monkeypatch.setenv(cli.LIMITS_ENV_VAR, f"wall_clock_budget={budget}")
+        code, doc = run_json(capsys, "x^2", "--set", "k0")
+        assert code == 2
+        assert "wall_clock_budget must be finite" in doc["error"]["message"]
+
+    def test_env_values_take_the_type_of_their_default(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.LIMITS_ENV_VAR, "wall_clock_budget=30, max_pairs=7000")
+        code, out, _ = run_main(capsys, "x^2", "--set", "k0", "--json")
+        assert code == 0
+        assert '"wall_clock_budget": 30.0' in out and '"max_pairs": 7000' in out
+        monkeypatch.setenv(cli.LIMITS_ENV_VAR, "max_pairs=1.5")
+        assert run_main(capsys, "x^2", "--set", "k0")[0] == 2
 
     def test_bad_env_entry(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.LIMITS_ENV_VAR, "bogus=1")
@@ -347,9 +379,9 @@ def test_sf_run_builds_the_map_system_once(capsys, monkeypatch):
 
     built = []
 
-    def counting_build(F, shape, generalized=False):
+    def counting_build(F, shape):
         built.append(len(F))
-        return real_build(F, shape, generalized)
+        return real_build(F, shape)
 
     real_build = cli.build_av_system
     for module in (cli, critvals.solve):
@@ -386,20 +418,20 @@ def test_finite_critical_locus_takes_one_grevlex_buchberger(capsys, monkeypatch)
     # basis; only a locus that is not finite adds the block elimination
     import critvals.solve
 
-    orders = []
+    eliminated = []
     real_buchberger = critvals.solve.buchberger
 
     def recording(ideal, limits=None):
-        orders.append(ideal.order.kind)
+        eliminated.append(ideal.eliminate)
         return real_buchberger(ideal, limits)
 
     monkeypatch.setattr(critvals.solve, "buchberger", recording)
     code, doc = run_json(capsys, "x^3 - 3*x*y + y^3", "--set", "k0")
     assert code == 0
     assert doc["results"]["k0"]["eliminant"] == "y^2 + y"
-    assert orders == ["grevlex"]
-    orders.clear()
+    assert eliminated == [0]  # plain grevlex
+    eliminated.clear()
     code, doc = run_json(capsys, "(x^2 + y^2 - 1)^2", "--set", "k0")
     assert code == 0
     assert doc["results"]["k0"]["eliminant"] == "y^2 - y"
-    assert orders == ["grevlex", "block"]
+    assert eliminated == [0, 2]  # then x and y eliminated from <grad f, y_ - f>

@@ -16,18 +16,16 @@ from critvals.groebner import (
     Ideal,
     LimitExceeded,
     ResourceLimits,
-    TermOrder,
     _divides,
     _Entry,
     _lcm,
     _mul,
+    _order,
     _quo,
     _reducer,
     _Run,
     _support,
-    block_elim_order,
     buchberger,
-    grevlex_order,
     minimal_polynomial,
     normal_form,
 )
@@ -44,11 +42,11 @@ def P(text, vars=XY):
 
 def lex_ideal(*texts):
     # on two variables, eliminating the first is the lex order x > y
-    return Ideal(tuple(P(t) for t in texts), block_elim_order(2, [0]))
+    return Ideal(tuple(P(t) for t in texts), eliminate=1)
 
 
 def grevlex_ideal(*texts, vars=XY):
-    return Ideal(tuple(P(t, vars) for t in texts), grevlex_order(vars.arity))
+    return Ideal(tuple(P(t, vars) for t in texts))
 
 
 class TestBuchbergerPinned:
@@ -132,17 +130,14 @@ class TestMinimalPolynomial:
 class TestLimits:
     def test_max_pairs_trips(self):
         xyz = VarTable(("x", "y", "z"))
-        ideal = Ideal(
-            (P("x^3 - 2*x*y", xyz), P("x^2*y - 2*y^2 + x", xyz), P("z^4 - x - y", xyz)),
-            grevlex_order(3),
-        )
+        ideal = Ideal((P("x^3 - 2*x*y", xyz), P("x^2*y - 2*y^2 + x", xyz), P("z^4 - x - y", xyz)))
         with pytest.raises(LimitExceeded) as err:
             buchberger(ideal, ResourceLimits(max_pairs=1))
         assert err.value.which == "max_pairs"
 
     def test_max_basis_size_holds_for_input_generators(self):
         xyz = VarTable(("x", "y", "z"))
-        ideal = Ideal((P("x", xyz), P("y", xyz), P("z", xyz)), grevlex_order(3))
+        ideal = Ideal((P("x", xyz), P("y", xyz), P("z", xyz)))
         with pytest.raises(LimitExceeded) as err:
             buchberger(ideal, ResourceLimits(max_basis_size=2))
         assert err.value.which == "max_basis_size"
@@ -155,8 +150,7 @@ class TestLimits:
             tuple(
                 P(t, abcd)
                 for t in ("a+b+c+d", "a*b+b*c+c*d+d*a", "a*b*c+b*c*d+c*d*a+d*a*b", "a*b*c*d-1")
-            ),
-            grevlex_order(4),
+            )
         )
         with pytest.raises(LimitExceeded) as err:
             buchberger(cyclic4, ResourceLimits(max_pairs=5))
@@ -189,7 +183,7 @@ class TestLimits:
     def test_reductions_check_the_clock(self):
         # x^100 against x - y takes 100 steps in one reduction; a run whose
         # budget is spent must stop inside it, not after it
-        order = grevlex_order(2)
+        order = _order(2, 0)
         run = _Run(order, ResourceLimits(wall_clock_budget=1.0))
         x_minus_y = {order.encode((1, 0)): 1, order.encode((0, 1)): -1}
         reducer = _Entry(x_minus_y, order.encode((1, 0)), run, 1)
@@ -209,29 +203,38 @@ class TestLimits:
     def test_bad_limits_rejected(self):
         with pytest.raises(GroebnerError):
             ResourceLimits(max_pairs=0)
+        # a nan budget would never trip: elapsed > nan is always false
+        for budget in (math.nan, math.inf, -math.inf):
+            with pytest.raises(GroebnerError, match="wall_clock_budget must be finite and positive"):
+                ResourceLimits(wall_clock_budget=budget)
 
     def test_empty_ideal_rejected(self):
         with pytest.raises(GroebnerError):
-            buchberger(Ideal((), grevlex_order(2)))
+            buchberger(Ideal(()))
 
     def test_zero_generator_rejected(self):
         with pytest.raises(GroebnerError):
-            Ideal((Poly.zero(XY),), grevlex_order(2))
+            Ideal((Poly.zero(XY),))
 
 
 class TestOrders:
     def test_block_order_is_elimination_order(self):
         # any monomial containing x compares above any pure-y monomial
-        order = block_elim_order(2, eliminate=[0])
+        order = _order(2, 1)
         assert order.encode((1, 0)) > order.encode((0, 5))
 
-    def test_bad_permutation(self):
-        with pytest.raises(GroebnerError):
-            TermOrder("grevlex", (0, 0))
+    def test_encodings_are_pinned(self):
+        # grevlex: (deg, -e_n, ..., -e_1); block: the two blocks' grevlex
+        # encodings concatenated
+        assert _order(3, 0).encode((1, 2, 3)) == (6, -3, -2, -1)
+        assert _order(3, 1).encode((1, 2, 3)) == (1, -1, 5, -3, -2)
+        assert _order(3, 2).encode((1, 2, 3)) == (3, -2, -1, 3, -3)
+        assert _order(3, 3).encode((1, 2, 3)) == _order(3, 0).encode((1, 2, 3))
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(GroebnerError, match="unknown order kind"):
-            TermOrder("lex", (0, 1))
+    @pytest.mark.parametrize("eliminate", [-1, 3])
+    def test_eliminate_out_of_range_rejected(self, eliminate):
+        with pytest.raises(GroebnerError, match=f"cannot eliminate {eliminate} of 2 variables"):
+            Ideal((P("x - y"),), eliminate)
 
 
 # ---- property tests ----
@@ -260,7 +263,7 @@ def small_ideals(draw):
             polys.append(p)
     if not polys:
         polys = [Poly.const(XY, 1)]
-    return Ideal(tuple(polys), grevlex_order(2))
+    return Ideal(tuple(polys))
 
 
 @settings(max_examples=25, deadline=None)
@@ -308,12 +311,11 @@ def test_normal_form_is_a_linear_projection(ideal, p, c):
 
 @st.composite
 def orders_and_monos(draw, count=2):
+    """(arity, eliminate) and `count` exponent tuples of that arity."""
     n = draw(st.integers(min_value=1, max_value=5))
-    kind = draw(st.sampled_from(["grevlex", "block"]))
-    var_order = tuple(draw(st.permutations(range(n))))
-    split = draw(st.integers(min_value=0, max_value=n)) if kind == "block" else 0
+    eliminate = draw(st.integers(min_value=0, max_value=n))
     exps = st.tuples(*[st.integers(min_value=0, max_value=6)] * n)
-    return TermOrder(kind, var_order, split), [draw(exps) for _ in range(count)]
+    return (n, eliminate), [draw(exps) for _ in range(count)]
 
 
 def _sign(x):
@@ -329,30 +331,30 @@ def _grevlex_cmp(p, q):
     return 0
 
 
-def _reference_cmp(order, a, b):
-    """Textbook comparison of table-order exponents: +1 if a > b."""
-    p, q = (tuple(m[i] for i in order.var_order) for m in (a, b))
-    if order.kind == "grevlex":
-        return _grevlex_cmp(p, q)
-    k = order.split
-    return _grevlex_cmp(p[:k], q[:k]) or _grevlex_cmp(p[k:], q[k:])
+def _reference_cmp(eliminate, a, b):
+    """Textbook comparison of table-order exponents under grevlex on the
+    first `eliminate` variables, then grevlex on the rest: +1 if a > b."""
+    k = eliminate
+    return _grevlex_cmp(a[:k], b[:k]) or _grevlex_cmp(a[k:], b[k:])
 
 
 @settings(max_examples=200, deadline=None)
 @given(orders_and_monos())
 def test_encoding_round_trips_and_orders(case):
-    order, (a, b) = case
+    (n, eliminate), (a, b) = case
+    order = _order(n, eliminate)
     ea, eb = order.encode(a), order.encode(b)
     assert order.decode(ea) == a and order.decode(eb) == b
     assert order.degree(ea) == sum(a)
-    want = _reference_cmp(order, a, b)
+    want = _reference_cmp(eliminate, a, b)
     assert _sign((ea > eb) - (ea < eb)) == want
 
 
 @settings(max_examples=200, deadline=None)
 @given(orders_and_monos())
 def test_encoded_products_quotients_lcms_and_divisibility(case):
-    order, (a, b) = case
+    (n, eliminate), (a, b) = case
+    order = _order(n, eliminate)
     ab = tuple(x + y for x, y in zip(a, b))
     ea, eb = order.encode(a), order.encode(b)
     assert _mul(ea, eb) == order.encode(ab)
@@ -369,7 +371,8 @@ def test_encoded_products_quotients_lcms_and_divisibility(case):
 @settings(max_examples=100, deadline=None)
 @given(orders_and_monos(count=6))
 def test_mask_filtered_reducer_lookup(case):
-    order, monos = case
+    (n, eliminate), monos = case
+    order = _order(n, eliminate)
     run = _Run(order, ResourceLimits())
     target, leads = monos[0], monos[1:]
     entries = []
@@ -406,17 +409,17 @@ def oracle_ideals(draw):
     return n, polys
 
 
-@pytest.mark.parametrize("kind", ["grevlex", "block"])
+@pytest.mark.parametrize("eliminate", [0, 1], ids=["grevlex", "block"])
 @settings(max_examples=30, deadline=None)
 @given(case=oracle_ideals())
-def test_buchberger_matches_sympy(kind, case):
+def test_buchberger_matches_sympy(eliminate, case):
     n, polys = case
     table = VarTable(("x", "y", "z")[:n])
     gens = tuple(p for p in (Poly(table, t) for t in polys) if not p.is_zero())
     if not gens:
         gens = (Poly.const(table, 1),)
-    order = grevlex_order(n) if kind == "grevlex" else block_elim_order(n, [0])
-    gb = buchberger(Ideal(gens, order), ResourceLimits(wall_clock_budget=60))
+    gb = buchberger(Ideal(gens, eliminate), ResourceLimits(wall_clock_budget=60))
+    order = _order(n, eliminate)
 
     symbols = sympy.symbols(table.names)
     exprs = [
@@ -424,7 +427,7 @@ def test_buchberger_matches_sympy(kind, case):
             for m, c in g.terms())
         for g in gens
     ]
-    if kind == "grevlex":
+    if eliminate == 0:
         sympy_order = "grevlex"
     else:  # grevlex on the first variable, then grevlex on the rest
         sympy_order = ProductOrder((grevlex, lambda m: m[:1]), (grevlex, lambda m: m[1:]))

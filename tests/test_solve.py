@@ -261,14 +261,14 @@ class TestComputeK:
 class TestComputeSF:
     def test_blowup_map(self):
         res = compute_sF([P("x"), P("x*y")], ArcShape(n=2, D1=1, D2=1))
-        gens = [serialize_poly(g) for g in res.ideal.generators]
+        gens = [serialize_poly(g) for g in res.generators]
         assert gens == ["y1"]
         # degree bound: deg <= (D * prod deg F_i - mu) / min deg = 1
-        assert res.ideal.generators[0].total_degree() == 1
+        assert res.generators[0].total_degree() == 1
 
     def test_proper_map_unit_ideal(self):
         res = compute_sF([P("x"), P("y")], ArcShape(n=2, D1=1, D2=1))
-        gens = [serialize_poly(g) for g in res.ideal.generators]
+        gens = [serialize_poly(g) for g in res.generators]
         assert gens == ["1"]
 
     def test_diagnostics_populated(self):

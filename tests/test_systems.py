@@ -129,13 +129,6 @@ class TestAvSystem:
         assert parse_poly("a[1][1]", t) in gens
         assert parse_poly("a[1][1] - 1", t) in gens
 
-    def test_generalized_drops_one_generator(self):
-        shape = ArcShape(n=2, D1=1, D2=1)
-        F = [P("x"), P("x*y")]
-        plain = build_av_system(F, shape, generalized=False)
-        gen = build_av_system(F, shape, generalized=True)
-        assert len(plain.generators) == len(gen.generators) + 1
-
     def test_empty_map_rejected(self):
         with pytest.raises(SystemError):
             build_av_system([], ArcShape(n=1, D1=1, D2=1))
