@@ -92,6 +92,8 @@ class ProbeConfig:
 
 def _require_runnable(cfg, counts: tuple[str, ...], scales: tuple[str, ...]) -> None:
     """Settings under which a search cannot run are errors, not empty results."""
+    if cfg.seed < 0:
+        raise CertifyError(f"seed must be non-negative, got {cfg.seed}")
     for name in counts:
         if (value := getattr(cfg, name)) < 1:
             raise CertifyError(f"{name} must be at least 1, got {value}")

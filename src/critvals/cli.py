@@ -43,8 +43,8 @@ from .solve import (
     compute_sF,
     heuristic_shape,
 )
-from .systems import EquationSystem, SystemError, build_av_system, build_system
-from .univariate import RootInterval, UnivariateError, refine_interval
+from .systems import EquationSystem, SystemError
+from .univariate import RootInterval, UnivariateError, refine_interval, squarefree_part
 
 LIMITS_ENV_VAR = "CRITVALS_LIMITS"
 VALUE_SETS = ("k0", "kinf", "k", "sf", "all")
@@ -161,6 +161,15 @@ def _certify_real_roots(
     return [certify_zero(system, interval.approx(), cfg.certifier) for interval in refined]
 
 
+def _check_k_is_k0_union_kinf(k0: Poly, kinf: Poly, k: Poly) -> None:
+    """A complete complex run must give K = K0 union Kinf (Jelonek-Kurdyka)."""
+    if squarefree_part(k0 * kinf) != k:
+        raise InternalInvariantError(
+            f"complete complex run broke K = K0 union Kinf: K0 {serialize_poly(k0)}, "
+            f"Kinf {serialize_poly(kinf)}, K {serialize_poly(k)}"
+        )
+
+
 def _dump_arc_system(sys_obj: EquationSystem) -> dict[str, Any]:
     table = sys_obj.shape.var_table()
     return {
@@ -197,36 +206,36 @@ def run(cfg: RunConfig, text: str) -> CriticalValueReport:
 
     if cfg.value_set == "sf":
         assert shape is not None
-        av_system = build_av_system(polys, shape)
-        result = compute_sF(polys, shape, cfg.limits, system=av_system)
-        image_names = tuple(f"y{l}" for l in range(1, len(polys) + 1))
-        sf_report = build_sf_report(result, image_names)
+        sf_result = compute_sF(polys, shape, cfg.limits)
+        sf_report = build_sf_report(sf_result)
         if cfg.dump_system:
-            dumps["sf"] = _dump_arc_system(av_system)
+            dumps["sf"] = _dump_arc_system(sf_result.system)
     else:
         f = polys[0]
         targets = ("k0", "kinf", "k") if cfg.value_set == "all" else (cfg.value_set,)
+        eliminants: dict[str, Poly] = {}
         for name in targets:
             t0 = time.perf_counter()
-            # one arc system per value set: eliminated, certified against and dumped
-            arc_system = None
             if name == "k0":
                 result = compute_k0(f, cfg.limits)
             else:
                 assert shape is not None
                 compute = compute_kinf if name == "kinf" else compute_k
-                arc_system = build_system(f, shape, "BV" if name == "kinf" else "GBV")
-                result = compute(f, shape, cfg.limits, system=arc_system)
+                result = compute(f, shape, cfg.limits)
+            # the result's one arc system is eliminated, certified against and dumped
             refined = [
                 refine_interval(result.eliminant, root, REPORT_INTERVAL_WIDTH)
                 for root in result.real_roots
             ]
             real_field = cfg.field == "real"
-            certs = _certify_real_roots(cfg, f, arc_system, refined) if real_field else None
+            certs = _certify_real_roots(cfg, f, result.system, refined) if real_field else None
             value_sets.append(build_value_set_report(name, result, refined, certs))
             timings[name] = int(1000 * (time.perf_counter() - t0))
-            if cfg.dump_system and arc_system is not None:
-                dumps[name] = _dump_arc_system(arc_system)
+            if cfg.dump_system and result.system is not None:
+                dumps[name] = _dump_arc_system(result.system)
+            eliminants[name] = result.eliminant
+        if cfg.value_set == "all" and cfg.field == "complex" and shape.bound_source == "paper":
+            _check_k_is_k0_union_kinf(**eliminants)
 
     config_echo: dict[str, Any] = {
         "field": cfg.field,

@@ -173,11 +173,9 @@ def build_value_set_report(
     )
 
 
-def build_sf_report(
-    result: SFResult, image_variables: tuple[str, ...]
-) -> SFReport:
+def build_sf_report(result: SFResult) -> SFReport:
     return SFReport(
         generators=tuple(serialize_poly(g) for g in result.generators),
-        image_variables=image_variables,
+        image_variables=result.image_variables,
         diagnostics=result.diagnostics,
     )

@@ -13,6 +13,11 @@ computes the image of the variety exactly.
   K:    eliminate arc variables from <GBV system, y - c0>
   S_F:  eliminate arc variables from <AV system, y_l - c0_l>
 
+Which arc system a value set is read off belongs to the algorithm, so it
+is chosen here: Kinf, K and S_F each build theirs once and return it as
+the result's `system`, the system a real run certifies against and
+`--dump-system` prints.
+
 Kinf and K first presolve their arc system into branches (see `presolve`)
 and eliminate each; only the variety matters for a squarefree eliminant.
 K0 has no arc structure to presolve, and S_F reports its ideal, not its
@@ -66,13 +71,14 @@ EXACT = "exact"
 
 
 class SolveError(Exception):
-    """Misuse: constant input, wrong mode, empty map."""
+    """Misuse: a constant polynomial, which has no critical values."""
 
 
 class InternalInvariantError(Exception):
     """A should-be-impossible state: the finite-image elimination ideal
-    came out zero, or the reduced basis kept more than one image-variable
-    generator.  Reported as an internal error, never as a value set."""
+    came out zero, the reduced basis kept more than one image-variable
+    generator, or a complete complex run gave K other than K0 union Kinf.
+    Reported as an internal error, never as a value set."""
 
 
 @dataclass(frozen=True)
@@ -98,6 +104,8 @@ class UnivariateResult:
     The eliminant is content-free over the table ("y",); the constant 1
     means the system was infeasible and the value set empty.  real_roots
     are exact isolating intervals; complex_roots carry residual bounds.
+    system is the arc system eliminated (BV for Kinf, GBV for K), the one
+    a real run certifies against; None for K0, which has no arc system.
     """
 
     eliminant: Poly
@@ -105,6 +113,7 @@ class UnivariateResult:
     complex_roots: tuple[ComplexRoot, ...]
     completeness: str
     diagnostics: Diagnostics
+    system: EquationSystem | None
 
     @property
     def empty(self) -> bool:
@@ -114,10 +123,12 @@ class UnivariateResult:
 @dataclass(frozen=True)
 class SFResult:
     """Generators of the elimination ideal of the non-properness variety,
-    over the image variables y1..ym."""
+    over the image variables y1..ym, and the AV system eliminated."""
 
     generators: tuple[Poly, ...]
+    image_variables: tuple[str, ...]
     diagnostics: Diagnostics
+    system: EquationSystem
 
 
 def heuristic_shape(f: Poly, field: str = "complex") -> ArcShape:
@@ -185,22 +196,16 @@ def _eliminant(
 
 
 def _value_set(
-    eliminant: Poly, completeness: str, diagnostics: Diagnostics, root_tol: float
+    eliminant: Poly, completeness: str, diagnostics: Diagnostics, system: EquationSystem | None
 ) -> UnivariateResult:
     """The value set read off an eliminant; a constant means it is empty."""
     if eliminant.is_constant():
         # unit ideal: the system is infeasible and the value set empty
-        return UnivariateResult(
-            Poly.const(Y_TABLE, 1), (), (), completeness, diagnostics
-        )
-    eliminant = squarefree_part(eliminant)
-    return UnivariateResult(
-        eliminant=eliminant,
-        real_roots=tuple(isolate_real_roots(eliminant)),
-        complex_roots=tuple(approx_complex_roots(eliminant, root_tol)),
-        completeness=completeness,
-        diagnostics=diagnostics,
-    )
+        eliminant, reals, roots = Poly.const(Y_TABLE, 1), (), ()
+    else:
+        eliminant = squarefree_part(eliminant)
+        reals, roots = tuple(isolate_real_roots(eliminant)), tuple(approx_complex_roots(eliminant))
+    return UnivariateResult(eliminant, reals, roots, completeness, diagnostics, system)
 
 
 @contextmanager
@@ -228,9 +233,7 @@ def _one_budget(limits: ResourceLimits | None) -> Iterator[Callable[[], Resource
         raise LimitExceeded(e.which, f"exceeded {budget}s") from e
 
 
-def compute_k0(
-    f: Poly, limits: ResourceLimits | None = None, root_tol: float = 1e-10
-) -> UnivariateResult:
+def compute_k0(f: Poly, limits: ResourceLimits | None = None) -> UnivariateResult:
     """Critical values of f: the generator of <grad f, y - f> meet Q[y].
 
     When the gradient ideal I is zero-dimensional, that generator is the
@@ -238,7 +241,8 @@ def compute_k0(
     read off a grevlex basis of I; otherwise x is eliminated from
     <grad f, y - f> with a block order.  One wall-clock budget covers
     both.  Complex-complete regardless of any arc shape; the real-root
-    sublist is K0 restricted to real critical points.
+    sublist is K0 restricted to real critical points.  No arc system is
+    involved, so the result's `system` is None.
     """
     if f.total_degree() <= 0:
         raise SolveError("constant polynomial has no critical values")
@@ -251,16 +255,13 @@ def compute_k0(
             eliminant, diagnostics = _eliminant(grads, f, left())
         else:
             diagnostics = Diagnostics(n, len(grads), len(gb.basis))
-    return _value_set(eliminant, EXACT, diagnostics, root_tol)
+    return _value_set(eliminant, EXACT, diagnostics, None)
 
 
-def _image_of_c0(
-    sys: EquationSystem,
-    limits: ResourceLimits | None,
-    root_tol: float,
-) -> UnivariateResult:
+def _image_of_c0(system: EquationSystem, limits: ResourceLimits | None) -> UnivariateResult:
     """The value set of an arc system: presolve it into branches, eliminate
     each, and take the squarefree part of the product of their eliminants.
+    The result carries `system`.
 
     One wall-clock budget covers the presolve and every branch's Buchberger
     run; a trip says `wall_clock_budget: exceeded {budget}s` wherever it
@@ -268,7 +269,7 @@ def _image_of_c0(
     product = Poly.const(Y_TABLE, 1)
     widest = generator_count = basis_size = 0
     with _one_budget(limits) as left:
-        for generators, c0 in presolve(sys.generators, sys.c0[0], left):
+        for generators, c0 in presolve(system.generators, system.c0[0], left):
             if not generators:
                 if not c0.is_constant():
                     raise InternalInvariantError(
@@ -282,68 +283,46 @@ def _image_of_c0(
                 generator_count += d.generator_count
                 basis_size += d.basis_size
             product = product * factor
-    completeness = COMPLETE if sys.shape.bound_source == "paper" else SOUND_ONLY
+    completeness = COMPLETE if system.shape.bound_source == "paper" else SOUND_ONLY
     diagnostics = Diagnostics(widest, generator_count, basis_size)
-    return _value_set(product, completeness, diagnostics, root_tol)
-
-
-def _prebuilt(system: EquationSystem | None, mode: str, shape: ArcShape) -> EquationSystem | None:
-    """A caller's already-built system, checked against the one asked for."""
-    if system is not None and (system.mode != mode or system.shape != shape):
-        raise SolveError(
-            f"given a {system.mode} system at {system.shape}, expected {mode} at {shape}"
-        )
-    return system
+    return _value_set(product, completeness, diagnostics, system)
 
 
 def compute_kinf(
-    f: Poly,
-    shape: ArcShape,
-    limits: ResourceLimits | None = None,
-    root_tol: float = 1e-10,
-    system: EquationSystem | None = None,
+    f: Poly, shape: ArcShape, limits: ResourceLimits | None = None
 ) -> UnivariateResult:
     """Asymptotic critical values via the normalized (BV) arc system.
 
     Complex pipeline: the root set is K_inf(f) at paper bounds, a sound
     subset at user bounds.  Real pipeline (shape.field = "real"): the real
     roots are candidates for the certifier, a superset of the attained
-    real values among real numbers.  A caller that already holds f's BV
-    system at this shape passes it as `system`, and it is not built again.
+    real values among real numbers.  The result's `system` is f's BV
+    system at this shape, the one eliminated.
     """
-    sys = _prebuilt(system, "BV", shape) or build_system(f, shape, "BV")
-    return _image_of_c0(sys, limits, root_tol)
+    return _image_of_c0(build_system(f, shape, "BV"), limits)
 
 
 def compute_k(
-    f: Poly,
-    shape: ArcShape,
-    limits: ResourceLimits | None = None,
-    root_tol: float = 1e-10,
-    system: EquationSystem | None = None,
+    f: Poly, shape: ArcShape, limits: ResourceLimits | None = None
 ) -> UnivariateResult:
     """Generalized critical values K = K0 union Kinf via the GBV system.
 
     Constant arcs at critical points always satisfy the GBV equations, so
-    K0(f) is contained in the output for every shape.  `system` is f's GBV
-    system at this shape if the caller has built it already."""
-    sys = _prebuilt(system, "GBV", shape) or build_system(f, shape, "GBV")
-    return _image_of_c0(sys, limits, root_tol)
+    K0(f) is contained in the output for every shape.  The result's
+    `system` is f's GBV system at this shape, the one eliminated."""
+    return _image_of_c0(build_system(f, shape, "GBV"), limits)
 
 
 def compute_sF(
-    F: list[Poly],
-    shape: ArcShape,
-    limits: ResourceLimits | None = None,
-    system: EquationSystem | None = None,
+    F: list[Poly], shape: ArcShape, limits: ResourceLimits | None = None
 ) -> SFResult:
     """Ideal of the non-properness set of the map F in image variables.
 
     Its variety contains the closure of the c0-image of the arc variety of
     the normalized AV system at the given shape; equality holds at
-    sufficient bounds.  `system` is that system if the caller has built it
-    already."""
-    sys = _prebuilt(system, "AVmap", shape) or build_av_system(F, shape)
-    image_names = tuple(f"y{l}" for l in range(1, len(sys.c0) + 1))
-    selected, diagnostics = _eliminate_images(sys.generators, sys.c0, image_names, limits)
-    return SFResult(generators=selected, diagnostics=diagnostics)
+    sufficient bounds.  The result carries that system and the image
+    variables y1..ym its generators are over."""
+    system = build_av_system(F, shape)
+    names = tuple(f"y{l}" for l in range(1, len(system.c0) + 1))
+    generators, diagnostics = _eliminate_images(system.generators, system.c0, names, limits)
+    return SFResult(generators, names, diagnostics, system)

@@ -11,10 +11,14 @@ import ast
 import importlib
 import importlib.util
 import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import critvals
 from critvals.arcs import ArcShape, substitute
+from critvals.groebner import LimitExceeded
 from critvals.poly import Poly, VarTable, parse_poly
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -76,13 +80,20 @@ def test_substitute_result_exposes_coeffs():
         assert isinstance(k, int) and isinstance(p, Poly) and p.num_terms() > 0
 
 
+def _perfbench_module(name: str):
+    """perfbench/<name>.py, loaded read-only under a name of its own."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_tracer_counts_buchberger():
     # the groebner.* counters read buchberger's Ideal argument and the Poly
     # terms of its GroebnerBasis result; the systems.* counters read
     # num_terms() on build_system's result
-    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _perfbench_module("spans")
     tracer = spans.Tracer()
     restore = tracer.install(critvals)
     try:
@@ -98,3 +109,19 @@ def test_tracer_counts_buchberger():
         "systems.generator_terms",
     ):
         assert metrics[name] > 0, name
+
+
+WORKLOADS = _perfbench_module("workloads")
+
+
+@pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)
+def test_every_benchmark_operation_passes_its_reference_check(workload):
+    # each operation once at seed 0: a changed signature or a wrong output
+    # fails here, not only in a benchmark run
+    for op in WORKLOADS.build(workload, 0, critvals):
+        try:
+            result = op.call()
+        except LimitExceeded as e:
+            assert e.which == op.expect_limit, f"{op.name}: {e}"
+            continue
+        assert op.check(result) is None, op.name

@@ -345,7 +345,8 @@ class TestSettingsThatCannotRun:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(restarts=0), dict(restarts=-3), dict(max_iters=0), dict(max_iters=-1),
-         dict(tolerance=0.0), dict(tolerance=-1e-9), dict(tolerance=math.nan), dict(tolerance=math.inf)],
+         dict(tolerance=0.0), dict(tolerance=-1e-9), dict(tolerance=math.nan), dict(tolerance=math.inf),
+         dict(seed=-1)],
     )
     def test_certify_config(self, kwargs):
         with pytest.raises(CertifyError, match=next(iter(kwargs))):
@@ -355,7 +356,7 @@ class TestSettingsThatCannotRun:
         "kwargs",
         [dict(samples_per_radius=0), dict(max_iters=0), dict(floor_scale=0.0), dict(floor_scale=math.nan),
          dict(floor_scale=math.inf), dict(level_tolerance=0.0), dict(level_tolerance=-1.0),
-         dict(level_tolerance=math.inf)],
+         dict(level_tolerance=math.inf), dict(seed=-1)],
     )
     def test_probe_config(self, kwargs):
         # samples_per_radius=0 used to give a row whose value is inf

@@ -184,6 +184,18 @@ class TestExitCodes:
         assert code == 4
         assert doc["error"]["type"] == "InternalInvariantError"
 
+    def test_complete_complex_run_checks_k_is_k0_union_kinf(self, capsys):
+        # Broughton after X = x + y, Y = y has K = Kinf = {0}; the sum
+        # normalization loses its escaping arcs, so Kinf comes out empty
+        # beside K = {0}: a complete run must not report that
+        code, doc = run_json(capsys, "(x+y) + (x+y)^2*y", "--vars", "x,y", "--paper-bounds", "--set", "all")
+        assert code == 4
+        assert doc["error"]["type"] == "InternalInvariantError"
+        assert "K = K0 union Kinf" in doc["error"]["message"]
+        code, doc = run_json(capsys, "x + x^2*y", "--paper-bounds", "--set", "all")
+        assert code == 0
+        assert [doc["results"][name]["eliminant"] for name in ("k0", "kinf", "k")] == ["1", "y", "y"]
+
     def test_constant_input_is_2(self, capsys):
         code, _, _ = run_main(capsys, "3/2", "--set", "k0", "--vars", "x")
         assert code == 2
@@ -222,6 +234,14 @@ class TestConfigValidation:
         with pytest.raises(UsageError, match="seed"):
             RunConfig(field="real", seed=0, certifier=CertifyConfig(seed=12345))
         assert RunConfig(seed=7, certifier=CertifyConfig(seed=7)).certifier.seed == 7
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_negative_seed_is_2(self, capsys, field):
+        # numpy's generator rejects it, which used to surface as exit 4
+        code, doc = run_json(capsys, "x^3-3*x", "--set", "k0", "--field", field, "--seed", "-1")
+        assert code == 2
+        assert doc["error"]["type"] == "CertifyError"
+        assert "seed" in doc["error"]["message"]
 
     def test_variable_inference_order(self, capsys):
         _, doc = run_json(capsys, "y^2 + x", "--set", "k0")
@@ -344,6 +364,7 @@ def test_real_run_builds_each_system_once_and_refines_each_root_once(capsys, mon
     import critvals.certify
     import critvals.report
     import critvals.solve
+    import critvals.systems
 
     built = []
     refined = []
@@ -356,8 +377,8 @@ def test_real_run_builds_each_system_once_and_refines_each_root_once(capsys, mon
         refined.append(interval)
         return real_refine(p, interval, width)
 
-    real_build, real_refine = cli.build_system, cli.refine_interval
-    for module in (cli, critvals.certify, critvals.solve):
+    real_build, real_refine = critvals.systems.build_system, cli.refine_interval
+    for module in (critvals.certify, critvals.solve):
         monkeypatch.setattr(module, "build_system", counting_build)
     for module in (cli, critvals.report):
         monkeypatch.setattr(module, "refine_interval", counting_refine, raising=False)
@@ -376,6 +397,7 @@ def test_real_run_builds_each_system_once_and_refines_each_root_once(capsys, mon
 
 def test_sf_run_builds_the_map_system_once(capsys, monkeypatch):
     import critvals.solve
+    import critvals.systems
 
     built = []
 
@@ -383,9 +405,8 @@ def test_sf_run_builds_the_map_system_once(capsys, monkeypatch):
         built.append(len(F))
         return real_build(F, shape)
 
-    real_build = cli.build_av_system
-    for module in (cli, critvals.solve):
-        monkeypatch.setattr(module, "build_av_system", counting_build)
+    real_build = critvals.systems.build_av_system
+    monkeypatch.setattr(critvals.solve, "build_av_system", counting_build)
     code, doc = run_json(capsys, "x; x*y", "--set", "sf", "--bounds", "1,1", "--dump-system")
     assert code == 0
     assert built == [2]

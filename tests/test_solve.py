@@ -30,7 +30,7 @@ from critvals.solve import (
     compute_sF,
     heuristic_shape,
 )
-from critvals.systems import EquationSystem, build_system
+from critvals.systems import EquationSystem, build_av_system, build_system
 from critvals.univariate import squarefree_part
 
 from oracles import k0_univariate_oracle, package_coeffs, reference_presolve
@@ -213,14 +213,15 @@ class TestComputeKinf:
         res = compute_kinf(P("x^2", X), shape)
         assert res.completeness == "paper-bounds-complete"
 
-    def test_prebuilt_system_is_used_and_checked(self):
+    def test_results_carry_the_system_they_eliminated(self):
         f, shape = P("x + x^2*y"), ArcShape(n=2, D1=1, D2=1)
-        bv = build_system(f, shape, "BV")
-        assert compute_kinf(f, shape, system=bv) == compute_kinf(f, shape)
-        with pytest.raises(SolveError):
-            compute_k(f, shape, system=bv)  # K needs the GBV system
-        with pytest.raises(SolveError):
-            compute_kinf(f, ArcShape(n=2, D1=1, D2=2), system=bv)
+        assert compute_kinf(f, shape).system == build_system(f, shape, "BV")
+        assert compute_k(f, shape).system == build_system(f, shape, "GBV")
+        assert compute_k0(f).system is None
+        F = [P("x"), P("x*y")]
+        sf = compute_sF(F, shape)
+        assert sf.system == build_av_system(F, shape)
+        assert sf.image_variables == ("y1", "y2")
 
 
 class TestComputeK:
@@ -331,7 +332,7 @@ class TestPresolve:
             shape, (), (Poly.variable(table, shape.var_index(1, 1)),), "BV", ()
         )
         with pytest.raises(InternalInvariantError):
-            compute_kinf(P("x^2", X), shape, system=system)
+            critvals.solve._image_of_c0(system, None)
 
     def test_branch_memo_keeps_the_k0_component(self):
         # a memo that also marked unfinished branches lost K0 here, giving y + 2
@@ -341,13 +342,13 @@ class TestPresolve:
 
     def test_one_deadline_covers_every_branch(self):
         # the quintic's default-shape branch runs for many seconds; the
-        # budget starts when the value set is entered, not per branch
+        # budget starts when the value set is entered, not per branch.  The
+        # system is built outside the timed window
         f = P("x*(x^2+1)^2")
-        shape = heuristic_shape(f)
-        system = build_system(f, shape, "BV")
+        system = build_system(f, heuristic_shape(f), "BV")
         entered = time.monotonic()
         with pytest.raises(LimitExceeded) as err:
-            compute_kinf(f, shape, ResourceLimits(wall_clock_budget=0.5), system=system)
+            critvals.solve._image_of_c0(system, ResourceLimits(wall_clock_budget=0.5))
         assert str(err.value) == "wall_clock_budget: exceeded 0.5s"
         assert 0.5 < time.monotonic() - entered < 1.5
 
@@ -392,7 +393,7 @@ def test_presolved_eliminant_equals_unpresolved(case):
     unpresolved, _ = _eliminant(system.generators, system.c0[0], None)
     expected = Poly.const(Y_TABLE, 1) if unpresolved.is_constant() else squarefree_part(unpresolved)
     compute = compute_kinf if mode == "BV" else compute_k
-    assert compute(f, shape, system=system).eliminant == expected
+    assert compute(f, shape).eliminant == expected
 
 
 @settings(max_examples=60, deadline=None)
