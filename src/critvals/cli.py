@@ -30,9 +30,9 @@ from .poly import ParseError, Poly, PolyError, VarTable, _tokenize, parse_poly, 
 from .report import (
     REPORT_INTERVAL_WIDTH,
     CriticalValueReport,
-    ValueSetReport,
     build_sf_report,
     build_value_set_report,
+    build_system_dump,
 )
 from .solve import (
     InternalInvariantError,
@@ -68,7 +68,6 @@ class RunConfig:
     force: bool = False
     arc_var_ceiling: int = 64
     seed: int = 0
-    output: str = "text"
     dump_system: bool = False
     timings: bool = False
     limits: ResourceLimits = ResourceLimits()
@@ -79,8 +78,6 @@ class RunConfig:
             raise UsageError(f"unknown field {self.field!r}")
         if self.value_set not in VALUE_SETS:
             raise UsageError(f"unknown value set {self.value_set!r}")
-        if self.output not in ("text", "json"):
-            raise UsageError(f"unknown output format {self.output!r}")
         if self.bounds is not None:
             d1, d2 = self.bounds
             if d1 < 1 or d2 < 0:
@@ -170,20 +167,6 @@ def _check_k_is_k0_union_kinf(k0: Poly, kinf: Poly, k: Poly) -> None:
         )
 
 
-def _dump_arc_system(sys_obj: EquationSystem) -> dict[str, Any]:
-    table = sys_obj.shape.var_table()
-    return {
-        "mode": sys_obj.mode,
-        "field": sys_obj.shape.field,
-        "arc_variables": list(table.names),
-        "generators": [
-            {"tag": tag.label(), "poly": serialize_poly(g)}
-            for tag, g in zip(sys_obj.provenance, sys_obj.generators)
-        ],
-        "c0": [serialize_poly(c) for c in sys_obj.c0],
-    }
-
-
 def run(cfg: RunConfig, text: str) -> CriticalValueReport:
     t_start = time.perf_counter()
     components = _split_components(text, cfg.value_set)
@@ -200,26 +183,19 @@ def run(cfg: RunConfig, text: str) -> CriticalValueReport:
     shape = _build_shape(cfg, top) if needs_shape else None
 
     timings: dict[str, int] = {}
-    value_sets: list[ValueSetReport] = []
-    sf_report = None
+    results: dict[str, dict[str, Any]] = {}
     dumps: dict[str, Any] = {}
-
-    if cfg.value_set == "sf":
-        assert shape is not None
-        sf_result = compute_sF(polys, shape, cfg.limits)
-        sf_report = build_sf_report(sf_result)
-        if cfg.dump_system:
-            dumps["sf"] = _dump_arc_system(sf_result.system)
-    else:
-        f = polys[0]
-        targets = ("k0", "kinf", "k") if cfg.value_set == "all" else (cfg.value_set,)
-        eliminants: dict[str, Poly] = {}
-        for name in targets:
-            t0 = time.perf_counter()
+    eliminants: dict[str, Poly] = {}
+    f = polys[0]
+    for name in ("k0", "kinf", "k") if cfg.value_set == "all" else (cfg.value_set,):
+        t0 = time.perf_counter()
+        if name == "sf":
+            result = compute_sF(polys, shape, cfg.limits)
+            results[name] = build_sf_report(result)
+        else:
             if name == "k0":
                 result = compute_k0(f, cfg.limits)
             else:
-                assert shape is not None
                 compute = compute_kinf if name == "kinf" else compute_k
                 result = compute(f, shape, cfg.limits)
             # the result's one arc system is eliminated, certified against and dumped
@@ -229,13 +205,13 @@ def run(cfg: RunConfig, text: str) -> CriticalValueReport:
             ]
             real_field = cfg.field == "real"
             certs = _certify_real_roots(cfg, f, result.system, refined) if real_field else None
-            value_sets.append(build_value_set_report(name, result, refined, certs))
-            timings[name] = int(1000 * (time.perf_counter() - t0))
-            if cfg.dump_system and result.system is not None:
-                dumps[name] = _dump_arc_system(result.system)
+            results[name] = build_value_set_report(result, refined, certs)
             eliminants[name] = result.eliminant
-        if cfg.value_set == "all" and cfg.field == "complex" and shape.bound_source == "paper":
-            _check_k_is_k0_union_kinf(**eliminants)
+        timings[name] = int(1000 * (time.perf_counter() - t0))
+        if cfg.dump_system and result.system is not None:
+            dumps[name] = build_system_dump(result.system)
+    if cfg.value_set == "all" and cfg.field == "complex" and shape.bound_source == "paper":
+        _check_k_is_k0_union_kinf(**eliminants)
 
     config_echo: dict[str, Any] = {
         "field": cfg.field,
@@ -256,8 +232,7 @@ def run(cfg: RunConfig, text: str) -> CriticalValueReport:
         input_polynomials=tuple(components),
         input_variables=names,
         config=config_echo,
-        value_sets=tuple(value_sets),
-        sf=sf_report,
+        results=results,
         dumped_systems=dumps if cfg.dump_system else None,
         timings_ms=timings if cfg.timings else None,
     )
@@ -366,7 +341,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         force=args.force,
         arc_var_ceiling=args.arc_var_ceiling,
         seed=args.seed,
-        output="json" if args.json else "text",
         dump_system=args.dump_system,
         timings=args.timings,
         limits=_limits_from_env_and_args(args),
@@ -410,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"error: {e}", file=sys.stderr)
         return code
-    body = report.to_json() + "\n" if cfg.output == "json" else report.to_text()
+    body = report.to_json() + "\n" if args.json else report.to_text()
     sys.stdout.write(body)
     return 0
 

@@ -1,11 +1,15 @@
-"""Deterministic report assembly and rendering.
+"""The report is its JSON document; text is rendered from it.
 
-Reports are plain frozen dataclasses rendered to JSON (sorted keys, fixed
-separators) or text.  For fixed input, config, and seed the bytes are
-identical across runs and platforms: floats go through repr, exact
-rationals through their canonical string form, and nothing iterates in
-nondeterministic order.  Elapsed time is only attached when explicitly
-requested, since it would break byte-level reproducibility.
+`build_value_set_report` and `build_sf_report` turn a solver result into
+the JSON object the report prints for that value set, and `build_system_dump`
+does the same for an arc system.  `CriticalValueReport` holds those
+objects in run order: `to_json` prints them (sorted keys, fixed
+separators) and `to_text` renders the same objects.  For fixed input,
+config, and seed the bytes are identical across runs and platforms:
+floats go through repr, exact rationals through their canonical string
+form, and nothing iterates in nondeterministic order.  Elapsed time is
+only attached when explicitly requested, since it would break byte-level
+reproducibility.
 """
 
 from __future__ import annotations
@@ -16,38 +20,12 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .certify import CertificationOutcome
-from .solve import Diagnostics, SFResult, UnivariateResult
 from .poly import serialize_poly
-from .univariate import ComplexRoot, RootInterval
+from .solve import SFResult, UnivariateResult
+from .systems import EquationSystem
+from .univariate import RootInterval
 
 REPORT_INTERVAL_WIDTH = Fraction(1, 10**12)
-
-
-@dataclass(frozen=True)
-class RealRootEntry:
-    interval_lo: str
-    interval_hi: str
-    approx: float
-    certification: str | None = None
-    cert_residual: float | None = None
-
-
-@dataclass(frozen=True)
-class ValueSetReport:
-    name: str
-    eliminant: str
-    completeness: str
-    real_roots: tuple[RealRootEntry, ...]
-    complex_roots: tuple[ComplexRoot, ...]
-    headline_real: tuple[float, ...] | None
-    diagnostics: Diagnostics
-
-
-@dataclass(frozen=True)
-class SFReport:
-    generators: tuple[str, ...]
-    image_variables: tuple[str, ...]
-    diagnostics: Diagnostics
 
 
 @dataclass(frozen=True)
@@ -55,8 +33,7 @@ class CriticalValueReport:
     input_polynomials: tuple[str, ...]
     input_variables: tuple[str, ...]
     config: dict[str, Any]
-    value_sets: tuple[ValueSetReport, ...]
-    sf: SFReport | None = None
+    results: dict[str, dict[str, Any]]  # value set name -> its JSON object, in run order
     dumped_systems: dict[str, Any] | None = None
     timings_ms: dict[str, int] | None = None
 
@@ -67,14 +44,8 @@ class CriticalValueReport:
                 "variables": list(self.input_variables),
             },
             "config": self.config,
-            "results": {vs.name: _value_set_dict(vs) for vs in self.value_sets},
+            "results": self.results,
         }
-        if self.sf is not None:
-            out["results"]["sf"] = {
-                "generators": list(self.sf.generators),
-                "image_variables": list(self.sf.image_variables),
-                "diagnostics": asdict(self.sf.diagnostics),
-            }
         if self.dumped_systems is not None:
             out["dumped_systems"] = self.dumped_systems
         if self.timings_ms is not None:
@@ -89,93 +60,93 @@ class CriticalValueReport:
             f"input: {'; '.join(self.input_polynomials)}  over [{', '.join(self.input_variables)}]",
             "config: " + ", ".join(f"{k}={v}" for k, v in sorted(self.config.items())),
         ]
-        for vs in self.value_sets:
-            lines.append(f"{vs.name}:")
-            lines.append(f"  eliminant: {vs.eliminant}")
-            lines.append(f"  completeness: {vs.completeness}")
-            if vs.real_roots:
-                for r in vs.real_roots:
-                    cert = f"  [{r.certification}]" if r.certification else ""
-                    lines.append(
-                        f"  real root in [{r.interval_lo}, {r.interval_hi}] ~ {r.approx!r}{cert}"
-                    )
-            else:
+        for name, res in self.results.items():
+            lines.append(f"{name}:")
+            if name == "sf":
+                lines.append(
+                    "  ideal: <" + (", ".join(res["generators"]) or "0") + ">"
+                    f" in [{', '.join(res['image_variables'])}]"
+                )
+                continue
+            lines.append(f"  eliminant: {res['eliminant']}")
+            lines.append(f"  completeness: {res['completeness']}")
+            for r in res["real_roots"]:
+                cert = f"  [{r['certification']}]" if r["certification"] else ""
+                lines.append(
+                    f"  real root in [{r['interval_lo']}, {r['interval_hi']}] ~ {r['approx']!r}{cert}"
+                )
+            if not res["real_roots"]:
                 lines.append("  real roots: none")
-            if vs.complex_roots:
-                for c in vs.complex_roots:
-                    lines.append(f"  complex root ~ {c.re!r} + {c.im!r}i")
-            if vs.headline_real is not None:
-                body = ", ".join(repr(v) for v in vs.headline_real) or "empty"
+            for c in res["complex_roots"]:
+                lines.append(f"  complex root ~ {c['re']!r} + {c['im']!r}i")
+            if "headline_real" in res:
+                body = ", ".join(repr(v) for v in res["headline_real"]) or "empty"
                 lines.append(f"  certified real values: {body}")
-            d = vs.diagnostics
+            d = res["diagnostics"]
             lines.append(
-                f"  diagnostics: variables={d.variable_count} "
-                f"generators={d.generator_count} basis={d.basis_size}"
+                f"  diagnostics: variables={d['variable_count']} "
+                f"generators={d['generator_count']} basis={d['basis_size']}"
             )
-        if self.sf is not None:
-            lines.append("sf:")
-            lines.append(
-                "  ideal: <" + (", ".join(self.sf.generators) or "0") + ">"
-                f" in [{', '.join(self.sf.image_variables)}]"
-            )
+        for name, dump in (self.dumped_systems or {}).items():
+            lines.append(f"system {name}: mode={dump['mode']} field={dump['field']}")
+            lines.extend(f"  {g['tag']}: {g['poly']}" for g in dump["generators"])
+            lines.append(f"  c0: {'; '.join(dump['c0'])}")
         if self.timings_ms is not None:
             for k, v in sorted(self.timings_ms.items()):
                 lines.append(f"timing {k}: {v} ms")
         return "\n".join(lines) + "\n"
 
 
-def _value_set_dict(vs: ValueSetReport) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "eliminant": vs.eliminant,
-        "completeness": vs.completeness,
-        "real_roots": [asdict(r) for r in vs.real_roots],
-        "complex_roots": [asdict(c) for c in vs.complex_roots],
-        "diagnostics": asdict(vs.diagnostics),
-    }
-    if vs.headline_real is not None:
-        out["headline_real"] = list(vs.headline_real)
-    return out
-
-
 def build_value_set_report(
-    name: str,
     result: UnivariateResult,
     refined_roots: Sequence[RootInterval],
     certifications: list[CertificationOutcome] | None = None,
-) -> ValueSetReport:
-    """Package a solver result.  `refined_roots` are its real roots refined
-    to REPORT_INTERVAL_WIDTH; certifications (real runs) pair with them in
-    ascending order."""
-    reals = []
-    headline: list[float] | None = None
+) -> dict[str, Any]:
+    """The JSON object of a solver result.  `refined_roots` are its real
+    roots refined to REPORT_INTERVAL_WIDTH; certifications (real runs)
+    pair with them in ascending order and add the headline set of
+    certified values."""
+    certs = certifications if certifications is not None else [None] * len(refined_roots)
+    out: dict[str, Any] = {
+        "eliminant": serialize_poly(result.eliminant),
+        "completeness": result.completeness,
+        "real_roots": [
+            {
+                "interval_lo": str(refined.lo),
+                "interval_hi": str(refined.hi),
+                "approx": refined.approx(),
+                "certification": cert.status if cert is not None else None,
+                "cert_residual": cert.residual if cert is not None else None,
+            }
+            for refined, cert in zip(refined_roots, certs)
+        ],
+        "complex_roots": [asdict(c) for c in result.complex_roots],
+        "diagnostics": asdict(result.diagnostics),
+    }
     if certifications is not None:
-        headline = []
-    for idx, refined in enumerate(refined_roots):
-        cert = certifications[idx] if certifications is not None else None
-        entry = RealRootEntry(
-            interval_lo=str(refined.lo),
-            interval_hi=str(refined.hi),
-            approx=refined.approx(),
-            certification=cert.status if cert else None,
-            cert_residual=cert.residual if cert else None,
-        )
-        reals.append(entry)
-        if cert is not None and cert.certified and headline is not None:
-            headline.append(refined.approx())
-    return ValueSetReport(
-        name=name,
-        eliminant=serialize_poly(result.eliminant),
-        completeness=result.completeness,
-        real_roots=tuple(reals),
-        complex_roots=result.complex_roots,
-        headline_real=tuple(headline) if headline is not None else None,
-        diagnostics=result.diagnostics,
-    )
+        out["headline_real"] = [
+            r["approx"] for r, cert in zip(out["real_roots"], certs) if cert.certified
+        ]
+    return out
 
 
-def build_sf_report(result: SFResult) -> SFReport:
-    return SFReport(
-        generators=tuple(serialize_poly(g) for g in result.generators),
-        image_variables=result.image_variables,
-        diagnostics=result.diagnostics,
-    )
+def build_sf_report(result: SFResult) -> dict[str, Any]:
+    return {
+        "generators": [serialize_poly(g) for g in result.generators],
+        "image_variables": list(result.image_variables),
+        "diagnostics": asdict(result.diagnostics),
+    }
+
+
+def build_system_dump(system: EquationSystem) -> dict[str, Any]:
+    """An arc system as built: its generators with their provenance tags, and c0."""
+    return {
+        "mode": system.mode,
+        "field": system.shape.field,
+        "arc_variables": list(system.shape.var_table().names),
+        "generators": [
+            {"tag": tag.label(), "poly": serialize_poly(g)}
+            for tag, g in zip(system.provenance, system.generators)
+        ],
+        "c0": [serialize_poly(c) for c in system.c0],
+    }

@@ -48,7 +48,7 @@ def criterion(number, slug):
 
 
 def real_approxes(value_set_report):
-    return [r.approx for r in value_set_report.real_roots]
+    return [r["approx"] for r in value_set_report["real_roots"]]
 
 
 def test_criterion_01_quintic_complex_kinf(capsys):
@@ -58,8 +58,8 @@ def test_criterion_01_quintic_complex_kinf(capsys):
                         variables=("x", "y"))
         report = run(cfg, "x*(x^2+1)^2")
         elapsed = time.perf_counter() - start
-        (vs,) = report.value_sets
-        assert vs.eliminant == "3125*y^3 + 256*y"
+        (vs,) = report.results.values()
+        assert vs["eliminant"] == "3125*y^3 + 256*y"
         assert real_approxes(vs) == [0.0]  # 0 among the K_inf candidates
         assert elapsed < 60.0
 
@@ -72,11 +72,11 @@ def test_criterion_02_quintic_real_kinf_uncertified(capsys):
                         variables=("x", "y"))
         report = run(cfg, "x*(x^2+1)^2")
         elapsed = time.perf_counter() - start
-        (vs,) = report.value_sets
+        (vs,) = report.results.values()
         assert real_approxes(vs) == [0.0]
-        assert [r.certification for r in vs.real_roots] == ["Uncertified"]
-        assert vs.headline_real == ()  # real K_inf reported empty
-        info["detail"] = f"candidate residual {vs.real_roots[0].cert_residual:.2e}"
+        assert [r["certification"] for r in vs["real_roots"]] == ["Uncertified"]
+        assert vs["headline_real"] == []  # real K_inf reported empty
+        info["detail"] = f"candidate residual {vs['real_roots'][0]['cert_residual']:.2e}"
         assert elapsed < 60.0
 
 
@@ -255,13 +255,11 @@ def test_criterion_11_report_determinism(capsys):
             capsys.disabled():
         configs = [
             (RunConfig(field="complex", value_set="kinf", bounds=(1, 0),
-                       variables=("x", "y"), output="json"), "x*(x^2+1)^2"),
+                       variables=("x", "y")), "x*(x^2+1)^2"),
             (RunConfig(field="real", value_set="kinf", bounds=(1, 0),
-                       variables=("x", "y"), output="json"), "x*(x^2+1)^2"),
-            (RunConfig(field="complex", value_set="all", bounds=(1, 1),
-                       output="json"), "x + x^2*y"),
-            (RunConfig(field="real", value_set="all", bounds=(1, 1),
-                       output="json"), "x + x^2*y"),
+                       variables=("x", "y")), "x*(x^2+1)^2"),
+            (RunConfig(field="complex", value_set="all", bounds=(1, 1)), "x + x^2*y"),
+            (RunConfig(field="real", value_set="all", bounds=(1, 1)), "x + x^2*y"),
         ]
         for cfg, text in configs:
             outputs = {run(cfg, text).to_json() for _ in range(3)}

@@ -244,11 +244,11 @@ class TestRealRunsAtDefaultCertifier:
     def outcome(self, text, value_set, bounds=None, variables=("x", "y")):
         cfg = RunConfig(field="real", value_set=value_set, bounds=bounds, variables=variables)
         return {
-            vs.name: (
-                [r.certification for r in vs.real_roots],
-                list(vs.headline_real),
+            name: (
+                [r["certification"] for r in vs["real_roots"]],
+                vs["headline_real"],
             )
-            for vs in run(cfg, text).value_sets
+            for name, vs in run(cfg, text).results.items()
         }
 
     def test_broughton_all_1_1(self):

@@ -121,6 +121,12 @@ class TestSchema:
         _, doc = run_json(capsys, "x^3 - 3*x", "--set", "k0", "--timings")
         assert "total" in doc["timings_ms"]
 
+    def test_timings_have_an_entry_per_value_set(self, capsys):
+        _, doc = run_json(capsys, "x + x^2*y", "--set", "all", "--bounds", "1,1", "--timings")
+        assert set(doc["timings_ms"]) == {"k0", "kinf", "k", "total"}
+        _, doc = run_json(capsys, "x; x*y", "--set", "sf", "--bounds", "1,1", "--timings")
+        assert set(doc["timings_ms"]) == {"sf", "total"}
+
     def test_dump_system_lists_tagged_generators(self, capsys):
         _, doc = run_json(
             capsys, "x + x^2*y", "--set", "kinf", "--bounds", "1,1", "--dump-system"
@@ -322,7 +328,7 @@ class TestLimitsEnvVar:
 
 
 def test_run_api_matches_cli_json(capsys):
-    cfg = RunConfig(value_set="kinf", bounds=(1, 1), output="json")
+    cfg = RunConfig(value_set="kinf", bounds=(1, 1))
     report = run(cfg, "x + x^2*y")
     _, out, _ = run_main(
         capsys, "x + x^2*y", "--set", "kinf", "--bounds", "1,1", "--json"

@@ -1,4 +1,4 @@
-"""Pinned `--json` reports.
+"""Pinned reports, as `--json` and as text.
 
 Every byte must match the files under tests/data: the value sets and, for
 runs with `--dump-system`, the dumped generators, their provenance tags
@@ -50,6 +50,29 @@ GOLDEN = [
 @pytest.mark.parametrize("name, argv", GOLDEN, ids=[name for name, _ in GOLDEN])
 def test_report_bytes_match_golden(capsys, name, argv):
     code = cli.main([*argv, "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (DATA / name).read_text()
+
+
+# the text rendering of the same documents: complex and real value sets,
+# certification marks, S_F's ideal and dumped systems
+TEXT_GOLDEN = [
+    ("broughton_all_2_1.txt", ["x + x^2*y", "--set", "all", "--bounds", "2,1"]),
+    ("broughton_real_all_1_1.txt", ["x + x^2*y", "--set", "all", "--field", "real", "--bounds", "1,1"]),
+    (
+        "quintic_real_kinf_1_0.txt",
+        ["x*(x^2+1)^2", "--vars", "x,y", "--field", "real", "--set", "kinf", "--bounds", "1,0"],
+    ),
+    ("blowup_sf_2_1.txt", ["x; x*y", "--set", "sf", "--bounds", "2,1"]),
+    ("cubic_k0.txt", ["x^3 - 3*x", "--set", "k0"]),
+    ("broughton_kinf_1_1_dump.txt", ["x + x^2*y", "--set", "kinf", "--bounds", "1,1", "--dump-system"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", TEXT_GOLDEN, ids=[name for name, _ in TEXT_GOLDEN])
+def test_text_report_matches_golden(capsys, name, argv):
+    code = cli.main(argv)
     out = capsys.readouterr().out
     assert code == 0
     assert out == (DATA / name).read_text()
