@@ -12,12 +12,10 @@ from .certify import (
     CertificationOutcome,
     CertifyConfig,
     CertifyError,
-    ProbeConfig,
     ProbeTrace,
     certify_critical_point,
     certify_real,
     malgrange_probe,
-    verify_arc,
 )
 from .groebner import (
     GroebnerBasis,
@@ -59,7 +57,6 @@ __all__ = [
     "ParseError",
     "Poly",
     "PolyError",
-    "ProbeConfig",
     "ProbeTrace",
     "ResourceLimits",
     "RunConfig",
@@ -84,7 +81,6 @@ __all__ = [
     "paper_bounds_real",
     "run",
     "serialize_poly",
-    "verify_arc",
 ]
 
 __version__ = "0.1.0"

@@ -53,8 +53,8 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 
 from .arcs import ArcShape
-from .poly import Exponent, Poly, Scalar
-from .systems import EquationSystem, Mode, build_system
+from .poly import Exponent, Poly
+from .systems import EquationSystem, build_system
 
 
 class CertifyError(Exception):
@@ -69,37 +69,27 @@ class CertifyConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _require_runnable(self, ("restarts", "max_iters"), ("tolerance",))
+        # settings under which a search cannot run are errors, not empty results
+        if self.seed < 0:
+            raise CertifyError(f"seed must be non-negative, got {self.seed}")
+        for name in ("restarts", "max_iters"):
+            if (value := getattr(self, name)) < 1:
+                raise CertifyError(f"{name} must be at least 1, got {value}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise CertifyError(f"tolerance must be finite and positive, got {self.tolerance}")
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
-    samples_per_radius: int = 32
-    level_tolerance: float | None = None  # default 1e-6 * (1 + |y|)
-    max_iters: int = 200
-    seed: int = 0
-    # measurement resolution at radius r is floor_scale / max(1, r): the
-    # search stops once the metric is below it and values under it are
-    # reported at the floor.  Without the clamp a true minimum of exactly
-    # zero would be reported as seed-dependent rounding noise, and
-    # comparing such noise across radii is meaningless
-    floor_scale: float = 1e-6
-
-    def __post_init__(self) -> None:
-        scales = ("floor_scale",) if self.level_tolerance is None else ("floor_scale", "level_tolerance")
-        _require_runnable(self, ("samples_per_radius", "max_iters"), scales)
-
-
-def _require_runnable(cfg, counts: tuple[str, ...], scales: tuple[str, ...]) -> None:
-    """Settings under which a search cannot run are errors, not empty results."""
-    if cfg.seed < 0:
-        raise CertifyError(f"seed must be non-negative, got {cfg.seed}")
-    for name in counts:
-        if (value := getattr(cfg, name)) < 1:
-            raise CertifyError(f"{name} must be at least 1, got {value}")
-    for name in scales:
-        if not (math.isfinite(value := getattr(cfg, name)) and value > 0):
-            raise CertifyError(f"{name} must be finite and positive, got {value}")
+# The Malgrange probe's search: starts per radius, iterations per start and
+# the seed of its random starts.
+PROBE_SAMPLES = 32
+PROBE_MAX_ITERS = 200
+PROBE_SEED = 0
+# measurement resolution at radius r is PROBE_FLOOR_SCALE / max(1, r): the
+# search stops once the metric is below it and values under it are reported
+# at the floor.  Without the clamp a true minimum of exactly zero would be
+# reported as seed-dependent rounding noise, and comparing such noise across
+# radii is meaningless
+PROBE_FLOOR_SCALE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -155,8 +145,7 @@ class CompiledSystem:
     column's factors, gathered into a C-contiguous (..., U, n) array, along
     the last axis: bitwise `np.prod(x[..., None, :] ** exponents, axis=-1)`
     (see the module docstring).  `values_at` and `jacobian_at` read the
-    values and the Jacobian off monomial vectors with one `einsum` each;
-    `values` and `jacobian` do both steps for callers holding only points."""
+    values and the Jacobian off monomial vectors with one `einsum` each."""
 
     __slots__ = (
         "size", "arity", "exponents", "bases", "powers", "pair_index", "value_coeffs", "jacobian_coeffs"
@@ -203,12 +192,6 @@ class CompiledSystem:
         flat = np.einsum("...u,ju->...j", monomials, self.jacobian_coeffs)
         return flat.reshape(*monomials.shape[:-1], self.size, self.arity)
 
-    def values(self, x: np.ndarray) -> np.ndarray:
-        return self.values_at(self.monomials(x))
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return self.jacobian_at(self.monomials(x))
-
 
 def _dense(terms: list[tuple[int, int, float]], shape: tuple[int, int]) -> np.ndarray:
     out = np.zeros(shape)
@@ -220,7 +203,8 @@ def _dense(terms: list[tuple[int, int, float]], shape: tuple[int, int]) -> np.nd
 def compile_arc_system(sys: EquationSystem) -> CompiledSystem:
     """The certifier's form of a real BV/GBV system: its generators, then
     c0 as the pin in the last row."""
-    _require_arc_mode(sys.mode)
+    if sys.mode not in ("BV", "GBV"):
+        raise CertifyError(f"arc systems to certify are BV or GBV, got {sys.mode!r}")
     if sys.shape.field != "real":
         raise CertifyError("certification runs on real-field shapes")
     return CompiledSystem((*sys.generators, sys.c0[0]))
@@ -230,11 +214,6 @@ def compile_critical_point_system(f: Poly) -> CompiledSystem:
     """The nonzero gradient components of f, then f itself as the pin."""
     partials = (f.partial_derivative(j) for j in range(f.vars.arity))
     return CompiledSystem([*(g for g in partials if not g.is_zero()), f])
-
-
-def _require_arc_mode(mode: Mode) -> None:
-    if mode not in ("BV", "GBV"):
-        raise CertifyError(f"arc systems to certify are BV or GBV, got {mode!r}")
 
 
 # ---- Levenberg-Marquardt core ----
@@ -324,20 +303,6 @@ def _solve_stack(damped: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.nd
         return step, solved
 
 
-# ---- exact membership check ----
-
-
-def verify_arc(f: Poly, shape: ArcShape, a: Sequence[Scalar], mode: Mode) -> bool:
-    """Exact test: does the rational a-vector satisfy every generator of
-    the shape's system for f?"""
-    _require_arc_mode(mode)
-    if len(a) != shape.num_vars:
-        raise CertifyError(
-            f"a-vector has {len(a)} entries, shape needs {shape.num_vars}"
-        )
-    return all(g.eval_exact(a) == 0 for g in build_system(f, shape, mode).generators)
-
-
 # ---- real certification ----
 
 
@@ -395,18 +360,15 @@ def certify_real(
     shape: ArcShape,
     y: float,
     cfg: CertifyConfig | None = None,
-    mode: Mode = "BV",
 ) -> CertificationOutcome:
     """Is the real value y attained by a real arc of this shape?
 
-    Minimizes G(a) + (c0(a) - y)^2 where G is the sum of squared system
-    generators; CertifiedReal iff the final residual is below tolerance.
-    Builds and compiles the system for this one call; to certify several
-    values, compile once with `compile_arc_system` and call `certify_zero`."""
-    _require_arc_mode(mode)
-    if shape.field != "real":
-        raise CertifyError("certification runs on real-field shapes")
-    system = compile_arc_system(build_system(f, shape, mode))
+    Minimizes G(a) + (c0(a) - y)^2 where G is the sum of squared generators
+    of the shape's BV system; CertifiedReal iff the final residual is below
+    tolerance.  Builds and compiles the system for this one call; to certify
+    several values, compile once with `compile_arc_system` and call
+    `certify_zero`."""
+    system = compile_arc_system(build_system(f, shape, "BV"))
     return certify_zero(system, y, cfg or CertifyConfig())
 
 
@@ -425,7 +387,6 @@ def malgrange_probe(
     f: Poly,
     y: complex,
     radii: Iterable[float],
-    cfg: ProbeConfig | None = None,
     field: str = "complex",
 ) -> ProbeTrace:
     """Measure min of max(norm(x)*norm(grad f), |f - y|) on each sphere.
@@ -435,7 +396,8 @@ def malgrange_probe(
     carry the best point of one radius to the next, so genuine asymptotic
     curves are tracked outward.  y must be finite (and real for field
     "real"), and the radii, any iterable of real numbers, finite, positive
-    and strictly increasing."""
+    and strictly increasing.  A row's level flag says |f - y| < 1e-6 * (1 + |y|)
+    at its point."""
     schedule = "radii must be a nonempty strictly increasing schedule of finite positive numbers"
     try:
         radii = tuple(float(r) for r in radii)
@@ -448,18 +410,14 @@ def malgrange_probe(
         raise CertifyError(f"unknown field {field!r}")
     if not cmath.isfinite(y) or (field == "real" and isinstance(y, complex)):
         raise CertifyError(f"the target must be a finite {field} number, got {y!r}")
-    return ProbeTrace(tuple(row for row, _ in _probe_steps(f, y, radii, cfg or ProbeConfig(), field)))
+    return ProbeTrace(tuple(row for row, _ in _probe_steps(f, y, radii, field)))
 
 
-def _probe_steps(f: Poly, y: complex, radii: Sequence[float], cfg: ProbeConfig, field: str):
+def _probe_steps(f: Poly, y: complex, radii: Sequence[float], field: str):
     """Yield (row, carry) per radius: all starts of a radius (the carry of
     the last radius first, then fresh samples) run as one stack; the row is
     the first start whose value reaches the floor, else the first smallest."""
-    delta = (
-        cfg.level_tolerance
-        if cfg.level_tolerance is not None
-        else 1e-6 * (1 + abs(y))
-    )
+    delta = 1e-6 * (1 + abs(y))
     n = f.vars.arity
     is_complex = field == "complex"
     k = 2 * n if is_complex else n  # real search dimension
@@ -473,11 +431,11 @@ def _probe_steps(f: Poly, y: complex, radii: Sequence[float], cfg: ProbeConfig, 
     def point(u: np.ndarray) -> np.ndarray:
         return u[:, :n] + 1j * u[:, n:] if is_complex else u
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(PROBE_SEED)
     carry: np.ndarray | None = None
 
     for radius in radii:
-        floor = cfg.floor_scale / max(1.0, radius)
+        floor = PROBE_FLOOR_SCALE / max(1.0, radius)
         # radius * grad f and f - y: the gradient rows carry the radius
         scale = np.array([radius] * n + [1.0])
 
@@ -501,9 +459,9 @@ def _probe_steps(f: Poly, y: complex, radii: Sequence[float], cfg: ProbeConfig, 
             return u * (radius / np.where(norm == 0, math.sqrt(k), norm))
 
         starts = [] if carry is None else [carry]
-        starts += [rng.normal(size=k) for _ in range(cfg.samples_per_radius - len(starts))]
+        starts += [rng.normal(size=k) for _ in range(PROBE_SAMPLES - len(starts))]
         us, monos = _levenberg_marquardt(
-            residual, tangent_jacobian, project(np.array(starts)), cfg.max_iters, stop_norm=floor, project=project
+            residual, tangent_jacobian, project(np.array(starts)), PROBE_MAX_ITERS, stop_norm=floor, project=project
         )
         v = system.values_at(monos)
         misses = np.abs(v[:, -1] - y)

@@ -58,7 +58,7 @@ class CriticalValueReport:
     def to_text(self) -> str:
         lines = [
             f"input: {'; '.join(self.input_polynomials)}  over [{', '.join(self.input_variables)}]",
-            "config: " + ", ".join(f"{k}={v}" for k, v in sorted(self.config.items())),
+            "config: " + ", ".join(f"{k}={json.dumps(v, sort_keys=True)}" for k, v in sorted(self.config.items())),
         ]
         for name, res in self.results.items():
             lines.append(f"{name}:")

@@ -10,7 +10,7 @@ p(n/d), d > 0, is that of the integer sum of c_i n^i d^(deg-i), taken by
 homogeneous Horner.  Interval endpoints and bisection midpoints stay
 Fractions.  Complex approximation is the one numeric step: eigenvalue-based
 initial guesses polished by Newton iteration, each accepted only with an
-explicit residual certificate |p(z)| < tol * ||p|| * max(1, |z|)^deg.
+explicit residual certificate |p(z)| < 1e-10 * ||p|| * max(1, |z|)^deg.
 """
 
 from __future__ import annotations
@@ -264,10 +264,10 @@ class ComplexRoot:
     residual: float
 
 
-def approx_complex_roots(p: Poly, tol: float = 1e-10) -> list[ComplexRoot]:
+def approx_complex_roots(p: Poly) -> list[ComplexRoot]:
     """All deg(p) complex roots with residual certificates.
 
-    Certificate: |p(z)| < tol * max|coeff| * max(1, |z|)^deg for every
+    Certificate: |p(z)| < 1e-10 * max|coeff| * max(1, |z|)^deg for every
     returned z.  Raises UnivariateError if polishing cannot reach that
     bound (does not silently return bad roots).
     """
@@ -311,7 +311,7 @@ def approx_complex_roots(p: Poly, tol: float = 1e-10) -> list[ComplexRoot]:
                 break
             z -= step
         residual = abs(horner(z, cf))
-        bound = tol * norm * max(1.0, abs(z)) ** deg
+        bound = 1e-10 * norm * max(1.0, abs(z)) ** deg
         if not residual < bound:
             raise UnivariateError(
                 f"root polishing stalled: residual {residual:.3e} at z={z!r} "

@@ -44,8 +44,9 @@ from typing import Sequence
 import numpy as np
 import sympy
 
+from critvals import certify
 from critvals.arcs import ArcPowers, ArcShape
-from critvals.certify import CertificationOutcome, CertifyConfig, CompiledSystem, ProbeConfig, ProbeRow
+from critvals.certify import CertificationOutcome, CertifyConfig, CompiledSystem, ProbeRow
 from critvals.poly import Exponent, Poly, VarTable
 from critvals.univariate import RootInterval, from_coefficients, to_coefficients
 
@@ -644,11 +645,17 @@ def reference_certify_zero(system: CompiledSystem, y: float, cfg: CertifyConfig)
     target = np.zeros(system.size)
     target[-1] = y
 
+    def values(x: np.ndarray) -> np.ndarray:
+        return system.values_at(system.monomials(x))
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        return system.jacobian_at(system.monomials(x))
+
     def residual(x: np.ndarray) -> np.ndarray:
-        return system.values(x) - target
+        return values(x) - target
 
     def metric(x: np.ndarray) -> float:
-        v = system.values(x)
+        v = values(x)
         return float(np.max(np.abs(v[:-1]), initial=0.0)) + abs(float(v[-1]) - y)
 
     rng = np.random.default_rng(cfg.seed)
@@ -656,12 +663,12 @@ def reference_certify_zero(system: CompiledSystem, y: float, cfg: CertifyConfig)
     scales = (0.5, 1.0, 2.0, 4.0)
     for restart in range(cfg.restarts):
         x0 = rng.normal(size=system.arity) * scales[restart % len(scales)]
-        x = reference_levenberg_marquardt(residual, system.jacobian, x0, cfg.max_iters)
+        x = reference_levenberg_marquardt(residual, jacobian, x0, cfg.max_iters)
         res = metric(x)
         if res < best_res:
             best_res, best_x = res, x
     if best_x is not None and best_res < cfg.tolerance:
-        polished = reference_levenberg_marquardt(residual, system.jacobian, best_x, 1)
+        polished = reference_levenberg_marquardt(residual, jacobian, best_x, 1)
         if metric(polished) <= best_res:
             best_x, best_res = polished, metric(polished)
         return CertificationOutcome("CertifiedReal", tuple(float(v) for v in best_x), best_res)
@@ -669,10 +676,11 @@ def reference_certify_zero(system: CompiledSystem, y: float, cfg: CertifyConfig)
     return CertificationOutcome("Uncertified", witness, best_res)
 
 
-def reference_probe_steps(f: Poly, y: complex, radii, cfg: ProbeConfig, field: str):
-    """`certify._probe_steps`, one start after another: yields (row, carry)
-    per radius, stopping the scan of starts at the first that reaches the floor."""
-    delta = cfg.level_tolerance if cfg.level_tolerance is not None else 1e-6 * (1 + abs(y))
+def reference_probe_steps(f: Poly, y: complex, radii, field: str):
+    """`certify._probe_steps`, one start after another, with the probe's
+    constants from `certify`: yields (row, carry) per radius, stopping the
+    scan of starts at the first that reaches the floor."""
+    delta = 1e-6 * (1 + abs(y))
     n = f.vars.arity
     is_complex = field == "complex"
     k = 2 * n if is_complex else n
@@ -683,20 +691,23 @@ def reference_probe_steps(f: Poly, y: complex, radii, cfg: ProbeConfig, field: s
     def point(u):
         return u[:n] + 1j * u[n:] if is_complex else u
 
+    def values(u):
+        return system.values_at(system.monomials(point(u)))
+
     def split(z):
         return np.concatenate([z.real, z.imag]) if is_complex else z
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(certify.PROBE_SEED)
     carry = None
     for radius in radii:
-        floor = cfg.floor_scale / max(1.0, radius)
+        floor = certify.PROBE_FLOOR_SCALE / max(1.0, radius)
         scale = np.array([radius] * n + [1.0])
 
         def residual(u):
-            return split(system.values(point(u)) * scale - target)
+            return split(values(u) * scale - target)
 
         def tangent_jacobian(u):
-            J_c = system.jacobian(point(u)) * scale[:, None]
+            J_c = system.jacobian_at(system.monomials(point(u))) * scale[:, None]
             J = np.vstack([np.hstack([J_c.real, -J_c.imag]), np.hstack([J_c.imag, J_c.real])]) if is_complex else J_c
             uhat = u / np.linalg.norm(u)
             return J - np.outer(J @ uhat, uhat)
@@ -709,14 +720,14 @@ def reference_probe_steps(f: Poly, y: complex, radii, cfg: ProbeConfig, field: s
             return u * (radius / norm)
 
         starts = [] if carry is None else [project(carry)]
-        while len(starts) < cfg.samples_per_radius:
+        while len(starts) < certify.PROBE_SAMPLES:
             starts.append(project(rng.normal(size=k)))
         best_u, best_val, best_miss = None, math.inf, math.inf
         for u0 in starts:
             u = reference_levenberg_marquardt(
-                residual, tangent_jacobian, u0, cfg.max_iters, stop_norm=floor, project=project
+                residual, tangent_jacobian, u0, certify.PROBE_MAX_ITERS, stop_norm=floor, project=project
             )
-            v = system.values(point(u))
+            v = values(u)
             miss = abs(v[-1] - y)
             val = max(radius * math.sqrt(float(np.sum(np.abs(v[:n]) ** 2))), miss)
             if val < best_val:

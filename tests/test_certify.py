@@ -15,7 +15,6 @@ from critvals.certify import (
     CompiledSystem,
     CertifyConfig,
     CertifyError,
-    ProbeConfig,
     ProbeTrace,
     ProbeRow,
     _levenberg_marquardt,
@@ -26,7 +25,6 @@ from critvals.certify import (
     compile_arc_system,
     compile_critical_point_system,
     malgrange_probe,
-    verify_arc,
 )
 from critvals.cli import RunConfig, run
 from critvals.poly import Poly, VarTable, parse_poly
@@ -36,39 +34,6 @@ XY = VarTable(("x", "y"))
 X = VarTable(("x",))
 BROUGHTON = parse_poly("x + x^2*y", XY)
 QUINTIC = parse_poly("x*(x^2+1)^2", XY)
-
-
-def witness(shape, assignments):
-    a = [Fraction(0)] * shape.num_vars
-    for (i, j), v in assignments.items():
-        a[shape.var_index(i, j)] = Fraction(v)
-    return a
-
-
-class TestVerifyArc:
-    def test_broughton_witness(self):
-        shape = ArcShape(n=2, D1=1, D2=1)
-        a = witness(shape, {(-1, 1): Fraction(-1, 2), (1, 2): 1})
-        assert verify_arc(BROUGHTON, shape, a, "BV")
-
-    def test_zero_vector_fails_normalization(self):
-        shape = ArcShape(n=2, D1=1, D2=1)
-        assert not verify_arc(BROUGHTON, shape, [0] * 6, "BV")
-
-    def test_constant_arc_at_critical_point(self):
-        # f = x^2: critical point 0; the all-zero arc satisfies GBV
-        shape = ArcShape(n=1, D1=1, D2=1)
-        assert verify_arc(parse_poly("x^2", X), shape, [0, 0, 0], "GBV")
-        # ... but f = x + x^2 has gradient 1 at 0, so d[1][0] = 1 there
-        assert not verify_arc(parse_poly("x + x^2", X), shape, [0, 0, 0], "GBV")
-
-    def test_arity_mismatch(self):
-        with pytest.raises(CertifyError):
-            verify_arc(BROUGHTON, ArcShape(n=2, D1=1, D2=1), [0] * 5, "BV")
-
-    def test_map_mode_rejected(self):
-        with pytest.raises(CertifyError):
-            verify_arc(BROUGHTON, ArcShape(n=2, D1=1, D2=1), [0] * 6, "AVmap")
 
 
 class TestCertifyReal:
@@ -94,10 +59,6 @@ class TestCertifyReal:
     def test_complex_shape_rejected(self):
         with pytest.raises(CertifyError):
             certify_real(BROUGHTON, ArcShape(n=2, D1=1, D2=1), 0.0)
-
-    def test_map_mode_rejected(self):
-        with pytest.raises(CertifyError):
-            certify_real(BROUGHTON, ArcShape(n=2, D1=1, D2=1, field="real"), 0.0, mode="AVmap")
 
     def test_deterministic_for_fixed_seed(self):
         shape = ArcShape(n=2, D1=1, D2=1, field="real")
@@ -195,8 +156,8 @@ def test_compiled_system_matches_exact_evaluation(case):
         x = np.array([complex(float(a), float(b)) for a, b in point])
     else:
         x = np.array([float(a) for a, _ in point])
-    values = system.values(x)
-    jacobian = system.jacobian(x)
+    mono = system.monomials(x)
+    values, jacobian = system.values_at(mono), system.jacobian_at(mono)
     assert values.shape == (len(polys),)
     assert jacobian.shape == (len(polys), len(point))
     assert np.iscomplexobj(values) == complex_point
@@ -298,8 +259,8 @@ class TestMalgrangeProbe:
         assert rm[-1] * 4 <= rm[0]
 
     def test_deterministic(self):
-        a = malgrange_probe(BROUGHTON, 0.0, self.RADII, ProbeConfig(seed=11))
-        b = malgrange_probe(BROUGHTON, 0.0, self.RADII, ProbeConfig(seed=11))
+        a = malgrange_probe(BROUGHTON, 0.0, self.RADII)
+        b = malgrange_probe(BROUGHTON, 0.0, self.RADII)
         assert a == b
 
     def test_bad_radii(self):
@@ -352,22 +313,9 @@ class TestSettingsThatCannotRun:
         with pytest.raises(CertifyError, match=next(iter(kwargs))):
             CertifyConfig(**kwargs)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [dict(samples_per_radius=0), dict(max_iters=0), dict(floor_scale=0.0), dict(floor_scale=math.nan),
-         dict(floor_scale=math.inf), dict(level_tolerance=0.0), dict(level_tolerance=-1.0),
-         dict(level_tolerance=math.inf), dict(seed=-1)],
-    )
-    def test_probe_config(self, kwargs):
-        # samples_per_radius=0 used to give a row whose value is inf
-        with pytest.raises(CertifyError, match=next(iter(kwargs))):
-            ProbeConfig(**kwargs)
-
     def test_smallest_settings_run(self):
         system = compile_critical_point_system(parse_poly("x^3 - 3*x", X))
         assert math.isfinite(certify_zero(system, 2.0, CertifyConfig(restarts=1, max_iters=1)).residual)
-        cfg = ProbeConfig(samples_per_radius=1, max_iters=1, level_tolerance=1e-3)
-        assert all(math.isfinite(r.value) for r in malgrange_probe(BROUGHTON, 0.0, (10.0,), cfg).rows)
 
 
 # ---- the batched search ----
@@ -434,7 +382,7 @@ def test_member_of_a_stack_equals_its_one_member_run(case_stack):
 def test_near_singular_case_is_singular_at_its_start():
     # the damped normal matrix of the near-singular case at (0.1, 0.2), as
     # the first try forms it
-    J = _NEAR_SINGULAR.jacobian(np.array([0.1, 0.2]))
+    J = _NEAR_SINGULAR.jacobian_at(_NEAR_SINGULAR.monomials(np.array([0.1, 0.2])))
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(J.T @ J + 1e-3 * np.eye(2), np.ones(2))
 
@@ -443,12 +391,11 @@ class TestAgainstOneStartReference:
     """The batched search against the earlier one-start search in
     tests/oracles.py: same statuses (so the same headline sets, which are the
     certified candidates), same probe flags, and probe values above the floor
-    within 1e-9 relative.  Fewer starts than the defaults keep the one-start
-    side quick; the comparison is per start either way."""
+    within 1e-9 relative.  Fewer restarts than the default certifier keep the
+    one-start side quick; the comparison is per start either way."""
 
     RADII = (10.0, 100.0, 1000.0)
     CERTIFIER = CertifyConfig(restarts=8)
-    PROBE = ProbeConfig(samples_per_radius=8)
 
     @pytest.mark.parametrize(
         "text, value_set, bounds, variables",
@@ -473,8 +420,8 @@ class TestAgainstOneStartReference:
     @pytest.mark.parametrize("y", [0.0, 1.0])
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_probe_traces(self, f, y, field):
-        got = malgrange_probe(f, y, self.RADII, self.PROBE, field).rows
-        ref = [row for row, _ in reference_probe_steps(f, y, self.RADII, self.PROBE, field)]
+        got = malgrange_probe(f, y, self.RADII, field=field).rows
+        ref = [row for row, _ in reference_probe_steps(f, y, self.RADII, field)]
         assert len(got) == len(ref)
         for row, ref_row in zip(got, ref):
             assert row.level_within_delta == ref_row.level_within_delta
@@ -483,12 +430,11 @@ class TestAgainstOneStartReference:
     def test_probe_floor_rule(self):
         # quintic, complex, y = 0: every radius reaches the floor, so the row
         # is the first start to reach it and that start's point is the carry
-        cfg = ProbeConfig()
-        got = list(_probe_steps(QUINTIC, 0.0, self.RADII, cfg, "complex"))
-        ref = list(reference_probe_steps(QUINTIC, 0.0, self.RADII, cfg, "complex"))
+        got = list(_probe_steps(QUINTIC, 0.0, self.RADII, "complex"))
+        ref = list(reference_probe_steps(QUINTIC, 0.0, self.RADII, "complex"))
         assert len(got) == len(ref)
         for (row, carry), (ref_row, ref_carry) in zip(got, ref):
-            assert row == ref_row and row.value == cfg.floor_scale / row.radius
+            assert row == ref_row and row.value == certify.PROBE_FLOOR_SCALE / row.radius
             # along the level set the search stops wherever it first meets
             # the floor, so rounding moves the point by about 2e-3 * radius;
             # another start would land a distance of order radius away
@@ -539,7 +485,7 @@ def test_monomials_values_and_jacobian_match_the_one_pow_per_entry_kernel(case_p
     system = MONOMIAL_CASES[case]
     with np.errstate(all="ignore"):
         mono, ref = system.monomials(x), reference_monomials(system, x)
-        values, jacobian = system.values(x), system.jacobian(x)
+        values, jacobian = system.values_at(mono), system.jacobian_at(mono)
         ref_values = np.einsum("...u,mu->...m", ref, system.value_coeffs)
         ref_jacobian = np.einsum("...u,ju->...j", ref, system.jacobian_coeffs)
     assert mono.flags.c_contiguous
@@ -555,7 +501,7 @@ def test_monomials_raise_only_the_powers_the_columns_use():
     system = CompiledSystem([parse_poly("x^300 + y", XY)])
     assert system.powers.size == 5  # x^0, x^300, x^299, y^0, y^1
     with np.errstate(over="raise"):
-        assert system.values(np.array([0.5, 1e3]))[0] == 0.5**300 + 1e3
+        assert system.values_at(system.monomials(np.array([0.5, 1e3])))[0] == 0.5**300 + 1e3
 
 
 def test_each_point_is_evaluated_once(monkeypatch):
@@ -585,5 +531,5 @@ def test_each_point_is_evaluated_once(monkeypatch):
     assert certify_zero(system, 2.0, CertifyConfig(restarts=4)).certified  # with the polishing pass
     assert counts["jacobian"] > 0 and counts["monomials"] == counts["residual"]
     counts.update(monomials=0, residual=0, jacobian=0)
-    malgrange_probe(BROUGHTON, 0.0, (10.0, 100.0), ProbeConfig(samples_per_radius=4))
+    malgrange_probe(BROUGHTON, 0.0, (10.0, 100.0))
     assert counts["jacobian"] > 0 and counts["monomials"] == counts["residual"]

@@ -56,6 +56,18 @@ class TestBuildSystem:
         a = witness_vector(shape, {(-1, 1): Fraction(-1, 2), (1, 2): 1})
         assert all(g.eval_exact(a) == 0 for g in sys.generators)
 
+    def test_zero_vector_fails_bv_normalization(self):
+        sys = build_system(P("x + x^2*y"), ArcShape(n=2, D1=1, D2=1), "BV")
+        (norm,) = (g for g, tag in zip(sys.generators, sys.provenance) if tag.family == "norm")
+        assert norm.eval_exact([0] * 6) == -1
+
+    def test_constant_arc_satisfies_gbv_at_a_critical_point(self):
+        # f = x^2: critical point 0; the all-zero arc satisfies GBV
+        shape = ArcShape(n=1, D1=1, D2=1)
+        assert all(g.eval_exact([0, 0, 0]) == 0 for g in build_system(P("x^2", X), shape, "GBV").generators)
+        # ... but f = x + x^2 has gradient 1 at 0, so d[1][0] = 1 there
+        assert not all(g.eval_exact([0, 0, 0]) == 0 for g in build_system(P("x + x^2", X), shape, "GBV").generators)
+
     def test_linear_f_is_infeasible(self):
         # df/dx = 1: the d-family contains the constant 1
         sys = build_system(P("x", X), ArcShape(n=1, D1=1, D2=1), "BV")

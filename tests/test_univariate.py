@@ -119,7 +119,7 @@ class TestComplexRoots:
         tol = 1e-10
         coeffs = [float(c) for c in to_coefficients(p)]
         norm = max(abs(c) for c in coeffs)
-        for r in approx_complex_roots(p, tol):
+        for r in approx_complex_roots(p):
             z = complex(r.re, r.im)
             val = sum(c * z**i for i, c in enumerate(coeffs))
             assert abs(val) < tol * norm * max(1.0, abs(z)) ** 5
