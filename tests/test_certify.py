@@ -36,6 +36,17 @@ BROUGHTON = parse_poly("x + x^2*y", XY)
 QUINTIC = parse_poly("x*(x^2+1)^2", XY)
 
 
+class TestVerifyArc:
+    def test_broughton_witness(self):
+        # the certifier's float form of BV is zero at Broughton's exact witness
+        shape = ArcShape(n=2, D1=1, D2=1, field="real")
+        a = np.zeros(shape.num_vars)
+        a[shape.var_index(-1, 1)] = -0.5
+        a[shape.var_index(1, 2)] = 1.0
+        system = compile_arc_system(build_system(BROUGHTON, shape, "BV"))
+        assert np.array_equal(system.values_at(system.monomials(a)), np.zeros(system.size))
+
+
 class TestCertifyReal:
     def test_broughton_zero_certified(self):
         shape = ArcShape(n=2, D1=1, D2=1, field="real")
