@@ -1,16 +1,25 @@
 """Univariate post-processing: squarefree part, real root isolation,
 complex root approximation.
 
-Everything up to root isolation is exact.  Each public call turns its Poly
-into an ascending list of content-free Python ints once: the integer
-numerators with their content divided out, a positive factor, so every
-sign is kept.  The gcd for the squarefree part and the Sturm chain are
-primitive pseudo-remainder sequences (Collins, JACM 1967), and the sign of
-p(n/d), d > 0, is that of the integer sum of c_i n^i d^(deg-i), taken by
-homogeneous Horner.  Interval endpoints and bisection midpoints stay
-Fractions.  Complex approximation is the one numeric step: eigenvalue-based
-initial guesses polished by Newton iteration, each accepted only with an
-explicit residual certificate |p(z)| < 1e-10 * ||p|| * max(1, |z|)^deg.
+Everything up to root isolation is exact: every sign that Sturm isolation
+and refinement read is the sign of the exact rational value.  Each public
+call turns its Poly into an ascending list of content-free Python ints
+once: the integer numerators with their content divided out, a positive
+factor, so every sign is kept.  The gcd for the squarefree part and the
+Sturm chain are primitive pseudo-remainder sequences (Collins, JACM 1967).
+The sign of p(n/d), d > 0, is first read off a float Horner sum acc,
+kept only when |acc| exceeds a proven bound on its error, (4 len + 8)
+2^-52 times the same sum over |c_i| plus 1e-300 (Shewchuk's filter with
+Higham's Horner bound, derived above `_float_image`).  Otherwise, and for
+lists spanning over 900 binades or points beyond the float range, it is
+the sign of the integer sum of c_i n^i d^(deg-i), taken by homogeneous
+Horner.  Once an interval holds one root, isolation reads the sign of p
+alone.  Bisection keeps endpoints as integer numerators over a denominator
+that doubles with every step; only returned endpoints become (reduced)
+Fractions.  Complex approximation is the one numeric step:
+eigenvalue-based initial guesses polished by Newton iteration, each
+accepted only with an explicit residual certificate
+|p(z)| < 1e-10 * ||p|| * max(1, |z|)^deg.
 """
 
 from __future__ import annotations
@@ -130,24 +139,87 @@ class RootInterval:
         return (self.lo + self.hi) / 2
 
     def approx(self) -> float:
-        return float(self.midpoint())
+        try:
+            return float(self.midpoint())
+        except OverflowError:
+            raise UnivariateError(f"the root in [{self.lo}, {self.hi}] is beyond the float range") from None
 
 
-def _signs(polys: Sequence[Sequence[int]], x: Fraction) -> list[int]:
-    """Sign of p(x) for each p: with x = n/d, d > 0, the sign of the integer
-    sum of c_i n^i d^(deg-i)."""
-    n, d = x.numerator, x.denominator
-    dpow = [1]
-    for _ in range(max(map(len, polys)) - 1):
-        dpow.append(dpow[-1] * d)
-    out = []
-    for p in polys:
-        top = len(p) - 1
-        acc = p[top]
-        for i in range(top - 1, -1, -1):
-            acc = acc * n + p[i] * dpow[top - i]
-        out.append((acc > 0) - (acc < 0))
-    return out
+# Filtered signs.  Each public call makes, once per integer list c_0..c_n,
+# the float image a_i = fl(c_i / 2^e) with 2^e > max|c_i|: int / int
+# division rounds correctly, so a_i = (c_i / 2^e)(1 + alpha_i) with
+# |alpha_i| <= u = 2^-53, and no a_i is subnormal while the nonzero |c_i|
+# span at most _SPAN binades (a list spanning more has no image).  At
+# x = n/d, t = fl(n/d) when that is at most 1 in magnitude; otherwise
+# t = fl(1 / fl(n/d)) and the list is read backwards, since
+# p(x) = x^n * sum c_(n-i) x^-i.  So |t| <= 1, and t = t0 (1 + tau1)^(+-1)
+# (1 + tau2)^(+-1) for the exact argument t0 as long as t is normal, which
+# |t| >= _MIN_ARG ensures.  Horner without fused multiply-add returns
+# sum a_i t^i (1 + theta_i) with |theta_i| <= gamma_2n (Higham, Accuracy
+# and Stability of Numerical Algorithms, 5.1), plus an underflow error
+# below (n + 1) 2^-1074 because |t| <= 1.  Altogether acc = sum (c_i / 2^e)
+# t0^i (1 + phi_i) with |phi_i| <= gamma_(4n+1), so |acc - P| <=
+# gamma_(4n+1) M + eta for M = sum |c_i / 2^e| |t0|^i, and the same Horner
+# on |a_i| at |t| gives mag >= (1 - gamma_(4n+1)) M - eta.  Then
+# |acc| > err * mag + _TINY with err = (4(n + 1) + 8) 2^-52 > 2 gamma_(4n+1)
+# / (1 - gamma_(4n+1)), which also absorbs the rounding of err * mag, proves
+# that P and acc have one sign (Shewchuk, DCG 18, 1997).  |acc| and mag stay
+# below n + 1, so nothing overflows, and a NaN fails the test.  Whatever
+# the test cannot settle goes to the exact integer sum.
+_SPAN = 900
+_MIN_ARG = 1e-280
+_TINY = 1e-300
+
+
+_Image = tuple[list[tuple[float, float]], float]
+
+
+def _float_image(coeffs: Sequence[int]) -> _Image | None:
+    """(descending (a_i, |a_i|) pairs, err) of a nonzero list, or None."""
+    sizes = [abs(c).bit_length() for c in coeffs if c]
+    top = max(sizes)
+    if top - min(sizes) > _SPAN:
+        return None
+    scale = 1 << top
+    return [(c / scale, abs(c) / scale) for c in reversed(coeffs)], (4 * len(coeffs) + 8) * 2.0**-52
+
+
+def _float_point(n: int, d: int) -> tuple[float, bool] | None:
+    """(t, reversed) of x = n/d, d > 0, or None where the filter cannot run."""
+    try:
+        t = n / d
+    except OverflowError:
+        return None
+    reverse = abs(t) > 1
+    if reverse:
+        t = 1 / t
+    return (t, reverse) if not t or abs(t) >= _MIN_ARG else None
+
+
+def _sign(coeffs: Sequence[int], image: _Image | None, n: int, d: int, point: tuple[float, bool] | None) -> int:
+    """Sign of p(n/d), d > 0: filtered where the float bound settles it."""
+    if image is not None and point is not None:
+        pairs, err = image
+        t, reverse = point
+        at = abs(t)
+        acc = mag = 0.0
+        for c, m in reversed(pairs) if reverse else pairs:
+            acc = acc * t + c
+            mag = mag * at + m
+        if abs(acc) > err * mag + _TINY:
+            # reversed: p(x) = x^n q(t), and x has the sign of t
+            flip = reverse and t < 0 and len(pairs) % 2 == 0
+            return -1 if (acc < 0) != flip else 1
+    return _exact_sign(coeffs, n, d)
+
+
+def _exact_sign(coeffs: Sequence[int], n: int, d: int) -> int:
+    """Sign of the integer sum of c_i n^i d^(deg-i), that of p(n/d) for d > 0."""
+    acc, dk = coeffs[-1], 1
+    for c in coeffs[-2::-1]:
+        dk *= d
+        acc = acc * n + c * dk
+    return (acc > 0) - (acc < 0)
 
 
 def _sturm_chain(coeffs: list[int]) -> list[list[int]]:
@@ -179,38 +251,51 @@ def isolate_real_roots(p: Poly) -> list[RootInterval]:
     if len(coeffs) == 1:
         return []
     chain = _sturm_chain(coeffs)
-    # Cauchy bound, plus 1 to lie strictly beyond every root
+    images = [_float_image(q) for q in chain]
+
+    def variations(n: int, d: int) -> int:
+        point = _float_point(n, d)
+        return _variations([_sign(q, image, n, d, point) for q, image in zip(chain, images)])
+
+    def sign(n: int, d: int) -> int:
+        return _sign(coeffs, images[0], n, d, _float_point(n, d))
+
+    # Cauchy bound, plus 1 to lie strictly beyond every root; every midpoint
+    # is an integer over bound's denominator times a power of two
     bound = Fraction(max(abs(c) for c in coeffs[:-1]), abs(coeffs[-1])) + 2
     out: list[RootInterval] = []
 
-    def recurse(lo: Fraction, hi: Fraction, vlo: int, vhi: int) -> None:
-        # vlo - vhi = number of roots in (lo, hi]
+    def recurse(lo: int, hi: int, den: int, vlo: int, vhi: int) -> None:
+        # vlo - vhi = number of roots in (lo/den, hi/den]
         count = vlo - vhi
         if count == 0:
             return
         if count == 1:
             # shrink until neither endpoint is the root itself, then report
             # a clean open interval (or an exact rational root on a hit)
-            if _signs([coeffs], hi)[0] == 0:
-                out.append(RootInterval(hi, hi))
+            shi = sign(hi, den)
+            if shi == 0:
+                out.append(RootInterval(Fraction(hi, den), Fraction(hi, den)))
                 return
+            # the simple root r is the only one in (lo, hi]: p has the sign
+            # of p(hi) on (r, hi] and the other one on (lo, r)
             while True:
-                mid = (lo + hi) / 2
-                signs = _signs(chain, mid)
-                if signs[0] == 0:
-                    out.append(RootInterval(mid, mid))
+                lo, mid, hi, den = 2 * lo, lo + hi, 2 * hi, 2 * den
+                smid = sign(mid, den)
+                if smid == 0:
+                    out.append(RootInterval(Fraction(mid, den), Fraction(mid, den)))
                     return
-                vmid = _variations(signs)
-                if vlo - vmid == 1:
-                    out.append(RootInterval(lo, mid))
+                if smid == shi:
+                    out.append(RootInterval(Fraction(lo, den), Fraction(mid, den)))
                     return
-                lo, vlo = mid, vmid
-        mid = (lo + hi) / 2
-        vmid = _variations(_signs(chain, mid))
-        recurse(lo, mid, vlo, vmid)
-        recurse(mid, hi, vmid, vhi)
+                lo = mid
+        mid = lo + hi
+        vmid = variations(mid, 2 * den)
+        recurse(2 * lo, mid, 2 * den, vlo, vmid)
+        recurse(mid, 2 * hi, 2 * den, vmid, vhi)
 
-    recurse(-bound, bound, _variations(_signs(chain, -bound)), _variations(_signs(chain, bound)))
+    b, den = bound.numerator, bound.denominator
+    recurse(-b, b, den, variations(-b, den), variations(b, den))
     out.sort(key=lambda r: (r.lo, r.hi))
     return out
 
@@ -222,36 +307,45 @@ def refine_interval(p: Poly, interval: RootInterval, width: Fraction) -> RootInt
     the isolated root to be simple."""
     if interval.exact:
         return interval
-    coeffs = [_integer_coefficients(p)]
-    lo, hi = interval.lo, interval.hi
-    (shi,) = _signs(coeffs, hi)
+    coeffs = _integer_coefficients(p)
+    image = _float_image(coeffs)
+
+    def sign(n: int, d: int) -> int:
+        return _sign(coeffs, image, n, d, _float_point(n, d))
+
+    # bisect lo/den and hi/den over one denominator, doubled at each step
+    den = math.lcm(interval.lo.denominator, interval.hi.denominator)
+    lo = interval.lo.numerator * (den // interval.lo.denominator)
+    hi = interval.hi.numerator * (den // interval.hi.denominator)
+    shi = sign(hi, den)
     if shi == 0:
-        return RootInterval(hi, hi)
-    (slo,) = _signs(coeffs, lo)
+        return RootInterval(interval.hi, interval.hi)
+    slo = sign(lo, den)
     if slo == 0:
         # lo is an adjacent root, not the isolated one: the target root r
         # is interior or equals hi, the sign is constant on (lo, r) and
         # opposite to shi (r is simple), so walk the midpoint down until
         # that sign shows up, then bracket as usual
         while True:
-            probe = (lo + hi) / 2
-            (s,) = _signs(coeffs, probe)
+            lo, probe, hi, den = 2 * lo, lo + hi, 2 * hi, 2 * den
+            s = sign(probe, den)
             if s == 0:
-                return RootInterval(probe, probe)
+                return RootInterval(Fraction(probe, den), Fraction(probe, den))
             if s != shi:
                 lo, slo = probe, s
                 break
-            hi, shi = probe, s
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        (smid,) = _signs(coeffs, mid)
+            hi = probe
+    width = Fraction(width)
+    while (hi - lo) * width.denominator > width.numerator * den:
+        lo, mid, hi, den = 2 * lo, lo + hi, 2 * hi, 2 * den
+        smid = sign(mid, den)
         if smid == 0:
-            return RootInterval(mid, mid)
+            return RootInterval(Fraction(mid, den), Fraction(mid, den))
         if slo == smid:
-            lo, slo = mid, smid
+            lo = mid
         else:
             hi = mid
-    return RootInterval(lo, hi)
+    return RootInterval(Fraction(lo, den), Fraction(hi, den))
 
 
 # ---- complex root approximation (the numeric step) ----
@@ -286,11 +380,15 @@ def approx_complex_roots(p: Poly) -> list[ComplexRoot]:
     cf /= scale
     deg = len(cf) - 1
     roots = np.roots(cf[::-1])
-    dcf = cf[1:] * np.arange(1, deg + 1)
+    if len(roots) < deg or not np.isfinite(roots).all():
+        # the scaling above flushed the leading coefficient to zero
+        raise UnivariateError(f"{len(roots)} of {deg} complex roots found: some lie beyond the float range")
+    # descending Python floats: the IEEE operations numpy scalars would do, faster
+    desc, ddesc = cf[::-1].tolist(), (cf[1:] * np.arange(1, deg + 1))[::-1].tolist()
 
-    def horner(z: complex, c: np.ndarray) -> complex:
+    def horner(z: complex, c: list[float]) -> complex:
         acc = 0j
-        for v in c[::-1]:
+        for v in c:
             acc = acc * z + v
         return acc
 
@@ -299,10 +397,10 @@ def approx_complex_roots(p: Poly) -> list[ComplexRoot]:
     for z0 in roots:
         z = complex(z0)
         for _ in range(60):
-            fz = horner(z, cf)
+            fz = horner(z, desc)
             if fz == 0:
                 break
-            dz = horner(z, dcf)
+            dz = horner(z, ddesc)
             if dz == 0:
                 z += 1e-12 * (1 + abs(z))
                 continue
@@ -310,7 +408,7 @@ def approx_complex_roots(p: Poly) -> list[ComplexRoot]:
             if abs(step) < 1e-17 * max(1.0, abs(z)):
                 break
             z -= step
-        residual = abs(horner(z, cf))
+        residual = abs(horner(z, desc))
         bound = 1e-10 * norm * max(1.0, abs(z)) ** deg
         if not residual < bound:
             raise UnivariateError(

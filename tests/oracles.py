@@ -26,7 +26,9 @@ in `critvals.presolve`.
 Univariate kernel: `reference_squarefree_part`, `reference_isolate_real_roots`
 and `reference_refine_interval` are the package's earlier Fraction-arithmetic
 squarefree part, Sturm isolation and bisection refinement, the reference for
-the integer kernel in `critvals.univariate`.
+the integer kernel in `critvals.univariate`.  `reference_approx_complex_roots`
+is the earlier complex root polishing over numpy scalars, the bitwise
+reference for `approx_complex_roots` on Python floats.
 
 Certifier: `reference_levenberg_marquardt` is the package's earlier
 one-start Levenberg-Marquardt, and `reference_certify_zero` and
@@ -48,7 +50,7 @@ from critvals import certify
 from critvals.arcs import ArcPowers, ArcShape
 from critvals.certify import CertificationOutcome, CertifyConfig, CompiledSystem, ProbeRow
 from critvals.poly import Exponent, Poly, VarTable
-from critvals.univariate import RootInterval, from_coefficients, to_coefficients
+from critvals.univariate import ComplexRoot, RootInterval, UnivariateError, from_coefficients, to_coefficients
 
 
 def to_sympy(p: Poly, symbols):
@@ -582,6 +584,55 @@ def reference_refine_interval(p: Poly, interval: RootInterval, width: Fraction) 
         else:
             hi = mid
     return RootInterval(lo, hi)
+
+
+def reference_approx_complex_roots(p: Poly) -> list[ComplexRoot]:
+    """np.roots guesses polished by Newton's method, Horner over numpy
+    float64 scalars, each root certified by its residual."""
+    coeffs = to_coefficients(p)
+    if not coeffs:
+        raise UnivariateError("roots of the zero polynomial")
+    if len(coeffs) == 1:
+        return []
+    excess = max(c.numerator.bit_length() - c.denominator.bit_length() for c in coeffs) - 1000
+    if excess > 0:
+        coeffs = [c / (1 << excess) for c in coeffs]
+    cf = np.array([float(c) for c in coeffs], dtype=np.float64)
+    scale = float(np.max(np.abs(cf)))
+    cf /= scale
+    deg = len(cf) - 1
+    roots = np.roots(cf[::-1])
+    dcf = cf[1:] * np.arange(1, deg + 1)
+
+    def horner(z: complex, c: np.ndarray) -> complex:
+        acc = 0j
+        for v in c[::-1]:
+            acc = acc * z + v
+        return acc
+
+    out: list[ComplexRoot] = []
+    norm = float(np.max(np.abs(cf)))
+    for z0 in roots:
+        z = complex(z0)
+        for _ in range(60):
+            fz = horner(z, cf)
+            if fz == 0:
+                break
+            dz = horner(z, dcf)
+            if dz == 0:
+                z += 1e-12 * (1 + abs(z))
+                continue
+            step = fz / dz
+            if abs(step) < 1e-17 * max(1.0, abs(z)):
+                break
+            z -= step
+        residual = abs(horner(z, cf))
+        bound = 1e-10 * norm * max(1.0, abs(z)) ** deg
+        if not residual < bound:
+            raise UnivariateError(f"root polishing stalled: residual {residual:.3e} at z={z!r}")
+        out.append(ComplexRoot(float(z.real), float(z.imag), float(residual)))
+    out.sort(key=lambda r: (r.re, r.im))
+    return out
 
 
 # ---- one-start certifier ----

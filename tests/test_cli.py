@@ -202,6 +202,16 @@ class TestExitCodes:
         assert code == 0
         assert [doc["results"][name]["eliminant"] for name in ("k0", "kinf", "k")] == ["1", "y", "y"]
 
+    @pytest.mark.parametrize("text", ["x^3 - 3*10^300*x", "x^3 + 3*10^300*x"])
+    def test_values_beyond_float_range_are_4(self, capsys, text):
+        # eliminants y^2 -+ 4*10^900: the critical values +-2*10^450 (real
+        # or imaginary) have no float, which is an error, not a bare
+        # OverflowError and not a report without them
+        code, doc = run_json(capsys, text, "--vars", "x", "--set", "k0")
+        assert code == 4
+        assert doc["error"]["type"] == "UnivariateError"
+        assert "beyond the float range" in doc["error"]["message"]
+
     def test_constant_input_is_2(self, capsys):
         code, _, _ = run_main(capsys, "3/2", "--set", "k0", "--vars", "x")
         assert code == 2

@@ -1,12 +1,18 @@
 """Univariate toolkit: squarefree part, root isolation, complex roots."""
 
+import json
+import math
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from critvals import univariate
 from critvals.poly import Poly, VarTable, parse_poly
+from critvals.report import REPORT_INTERVAL_WIDTH
 from critvals.univariate import (
     ComplexRoot,
     RootInterval,
@@ -17,7 +23,12 @@ from critvals.univariate import (
     squarefree_part,
     to_coefficients,
 )
-from oracles import reference_isolate_real_roots, reference_refine_interval, reference_squarefree_part
+from oracles import (
+    reference_approx_complex_roots,
+    reference_isolate_real_roots,
+    reference_refine_interval,
+    reference_squarefree_part,
+)
 
 Y = VarTable(("y",))
 
@@ -106,6 +117,11 @@ class TestRealRootIsolation:
         for got, want in zip(vals, (-(2**0.5), 0.0, 2**0.5)):
             assert abs(got - want) < 1e-8
 
+    def test_root_beyond_float_range_is_named(self):
+        interval = RootInterval(Fraction(2 * 10**450 - 1), Fraction(2 * 10**450 + 1))
+        with pytest.raises(UnivariateError, match=r"root in \[1\d+, 2\d+\] is beyond the float range"):
+            interval.approx()
+
 
 class TestComplexRoots:
     def test_pure_imaginary_pair(self):
@@ -135,6 +151,12 @@ class TestComplexRoots:
         roots = approx_complex_roots(P(f"{2**1100}*y^2 - {2**1100}*y + {2**1101}"))
         got = sorted((round(r.re, 8), round(r.im, 8)) for r in roots)
         assert got == [(0.5, round(-(7**0.5) / 2, 8)), (0.5, round(7**0.5 / 2, 8))]
+
+    def test_roots_lost_to_the_scaling_raise(self):
+        # the roots are +-2*10^450 i: scaled below 2^1001, the leading
+        # coefficient becomes 0.0 and np.roots returns no root at all
+        with pytest.raises(UnivariateError, match="0 of 2 complex roots"):
+            approx_complex_roots(P(f"y^2 + {4 * 10**900}"))
 
 
 # ---- property tests against constructed factorizations ----
@@ -231,3 +253,106 @@ def test_integer_kernel_matches_fraction_reference(p, width):
     for interval in intervals:
         assert refine_interval(sf, interval, width) == reference_refine_interval(sf, interval, width)
 
+
+@settings(max_examples=30, deadline=None)
+@given(kernel_inputs())
+def test_complex_roots_match_numpy_scalar_reference(p):
+    sf = squarefree_part(p)
+    try:
+        want = reference_approx_complex_roots(sf)
+    except UnivariateError:
+        with pytest.raises(UnivariateError):
+            approx_complex_roots(sf)
+        return
+    assert approx_complex_roots(sf) == want
+
+
+# ---- the floating-point sign filter against exact rational signs ----
+
+
+@st.composite
+def sign_cases(draw):
+    """(content-free integer list, point, k): degree at most 16, coefficients
+    of 3 to 3000 bits, of one size or of mixed sizes spanning over 900
+    binades, sometimes with a rational root a/b; the point is 0, that root,
+    a dyadic neighbour of it, a midpoint of a refined isolating interval, a
+    nonzero |x| below 1e-300, or |x| beyond the float range or near its edge.
+    The sign is also read at (n * 2^k) / (d * 2^k), as bisection does."""
+    sizes = st.sampled_from([3, 64, 1000, 3000])
+    bits, mixed = draw(sizes), draw(st.booleans())
+
+    def coefficient():
+        b = draw(sizes) if mixed else bits
+        return draw(st.integers(2 ** (b - 1), 2**b))
+
+    coeffs = [draw(st.sampled_from([-1, 0, 1])) * coefficient() for _ in range(draw(st.integers(0, 15)))]
+    coeffs.append(draw(st.sampled_from([-1, 1])) * coefficient())
+    # an odd denominator: the root has no float, so points near it cancel
+    root = Fraction(draw(st.integers(-(2**70), 2**70)), 2 * draw(st.integers(1, 2**40)) + 1)
+    with_root = draw(st.booleans())
+    if with_root:
+        a, b = root.numerator, root.denominator
+        coeffs = [x - y for x, y in zip([0] + [b * c for c in coeffs], [a * c for c in coeffs] + [0])]
+    g = math.gcd(*coeffs)
+    coeffs = [c // g for c in coeffs]
+    # isolation is cheap unless the list is long with large or mixed sizes
+    cheap = not mixed and (bits <= 64 or len(coeffs) <= 6)
+    kind = draw(st.sampled_from(["zero", "tiny", "huge"] + ["root", "near"] * with_root + ["refined"] * cheap))
+    sign = draw(st.sampled_from([-1, 1]))
+    if kind == "zero":
+        x = Fraction(0)
+    elif kind == "root":
+        x = root
+    elif kind == "near":
+        x = root + Fraction(sign, 2 ** draw(st.integers(40, 300)))
+    elif kind == "refined":
+        sf = squarefree_part(Poly(Y, {(i,): Fraction(c) for i, c in enumerate(coeffs) if c}))
+        intervals = isolate_real_roots(sf) or [RootInterval(Fraction(-1), Fraction(1))]
+        interval = intervals[draw(st.integers(0, len(intervals) - 1))]
+        x = refine_interval(sf, interval, Fraction(1, 2 ** draw(st.integers(0, 80)))).midpoint()
+    elif kind == "tiny":
+        x = sign * Fraction(draw(st.integers(1, 999)), 10 ** draw(st.integers(303, 400)))
+    else:
+        x = sign * draw(st.integers(1, 999)) * Fraction(10) ** draw(st.integers(250, 400))
+    return coeffs, x, draw(st.integers(0, 64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sign_cases())
+# the Cauchy bound of the eliminant y^2 - 4*10^450 of x^3 - 3*10^150*x
+@example(([-4 * 10**450, 0, 1], Fraction(4 * 10**450 + 2), 0))
+@example(([-4 * 10**450, 0, 1], Fraction(-4 * 10**450 - 2), 3))
+# degree 12, 1036-bit coefficients over a 37-bit leading one: a squarefree
+# list spanning 999 binades, its Cauchy bound near 2^1000
+@example(([(-1) ** i * (2**1036 - 3 ** (i + 5)) for i in range(12)] + [2**36 + 1], Fraction(2**1036 - 3**5, 2**36 + 1) + 2, 0))
+# 2^-70 above the root of 23y - 13: rounding alone sets the float sum's sign
+@example(([-13, 23], Fraction(13, 23) + Fraction(1, 2**70), 0))
+def test_filtered_sign_is_the_exact_sign(case):
+    coeffs, x, k = case
+    value = Fraction(0)
+    for c in reversed(coeffs):
+        value = value * x + c
+    n, d = x.numerator << k, x.denominator << k
+    got = univariate._sign(coeffs, univariate._float_image(coeffs), n, d, univariate._float_point(n, d))
+    assert got == (value > 0) - (value < 0)
+
+
+def test_filter_settles_most_signs(monkeypatch):
+    # a filter that stopped settling signs would stay correct, only slow
+    golden = json.loads((Path(__file__).parent / "data" / "dense5_k0.json").read_text())
+    p = P(golden["results"]["k0"]["eliminant"])
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(univariate, "_sign", counted("sign", univariate._sign))
+    monkeypatch.setattr(univariate, "_exact_sign", counted("exact", univariate._exact_sign))
+    for interval in isolate_real_roots(p):
+        refine_interval(p, interval, REPORT_INTERVAL_WIDTH)
+    assert calls["sign"] > 100
+    assert calls["sign"] - calls["exact"] >= 0.8 * calls["sign"]
