@@ -28,7 +28,6 @@ from .certify import (
 from .groebner import GroebnerError, LimitExceeded, ResourceLimits
 from .poly import ParseError, Poly, PolyError, VarTable, _tokenize, parse_poly, serialize_poly
 from .report import (
-    REPORT_INTERVAL_WIDTH,
     CriticalValueReport,
     build_sf_report,
     build_value_set_report,
@@ -37,17 +36,20 @@ from .report import (
 from .solve import (
     InternalInvariantError,
     SolveError,
+    UnivariateResult,
     compute_k,
     compute_k0,
     compute_kinf,
     compute_sF,
     heuristic_shape,
 )
-from .systems import EquationSystem, SystemError
-from .univariate import RootInterval, UnivariateError, refine_interval, squarefree_part
+from .systems import SystemError
+from .univariate import UnivariateError, squarefree_part
 
 LIMITS_ENV_VAR = "CRITVALS_LIMITS"
 VALUE_SETS = ("k0", "kinf", "k", "sf", "all")
+# --paper-bounds refuses shapes with more arc variables unless --force
+ARC_VAR_CEILING = 64
 
 
 class UsageError(Exception):
@@ -66,7 +68,6 @@ class RunConfig:
     bounds: tuple[int, int] | None = None  # explicit (D1, D2)
     paper_bounds: bool = False
     force: bool = False
-    arc_var_ceiling: int = 64
     seed: int = 0
     dump_system: bool = False
     timings: bool = False
@@ -84,8 +85,6 @@ class RunConfig:
                 raise UsageError(f"bounds need D1 >= 1 and D2 >= 0, got ({d1}, {d2})")
         if self.bounds is not None and self.paper_bounds:
             raise UsageError("--bounds and --paper-bounds are mutually exclusive")
-        if self.arc_var_ceiling < 1:
-            raise UsageError("arc-variable ceiling must be positive")
         if self.certifier.seed != self.seed:
             raise UsageError(f"certifier seed {self.certifier.seed} differs from the run seed {self.seed}")
 
@@ -135,27 +134,26 @@ def _build_shape(cfg: RunConfig, top: Poly) -> ArcShape:
     fn = paper_bounds_real if cfg.field == "real" else paper_bounds_complex
     d1, d2 = fn(top.vars.arity, top.total_degree())
     shape = ArcShape(n=top.vars.arity, D1=d1, D2=d2, field=cfg.field, bound_source="paper")
-    if shape.num_vars > cfg.arc_var_ceiling and not cfg.force:
+    if shape.num_vars > ARC_VAR_CEILING and not cfg.force:
         raise GuardRefusal(
             f"paper bounds (D1, D2) = ({d1}, {d2}) need {shape.num_vars} arc "
-            f"variables, over the ceiling of {cfg.arc_var_ceiling}; rerun with "
+            f"variables, over the ceiling of {ARC_VAR_CEILING}; rerun with "
             "--force to proceed anyway"
         )
     return shape
 
 
-def _certify_real_roots(
-    cfg: RunConfig, f: Poly, arc_system: EquationSystem | None, refined: list[RootInterval]
-) -> list[CertificationOutcome]:
-    """Certify each refined real root against one compiled system: the arc
-    system of K_inf/K, or f's critical-point system for K0 (no arc system)."""
-    if not refined:
+def _certify_real_roots(cfg: RunConfig, f: Poly, result: UnivariateResult) -> list[CertificationOutcome]:
+    """Certify each real root of a result against one compiled system: its
+    arc system for K_inf/K, or f's critical-point system for K0 (no arc
+    system)."""
+    if not result.real_roots:
         return []
-    if arc_system is None:
+    if result.system is None:
         system = compile_critical_point_system(f)
     else:
-        system = compile_arc_system(arc_system)
-    return [certify_zero(system, interval.approx(), cfg.certifier) for interval in refined]
+        system = compile_arc_system(result.system)
+    return [certify_zero(system, root.approx(), cfg.certifier) for root in result.real_roots]
 
 
 def _check_k_is_k0_union_kinf(k0: Poly, kinf: Poly, k: Poly) -> None:
@@ -199,13 +197,8 @@ def run(cfg: RunConfig, text: str) -> CriticalValueReport:
                 compute = compute_kinf if name == "kinf" else compute_k
                 result = compute(f, shape, cfg.limits)
             # the result's one arc system is eliminated, certified against and dumped
-            refined = [
-                refine_interval(result.eliminant, root, REPORT_INTERVAL_WIDTH)
-                for root in result.real_roots
-            ]
-            real_field = cfg.field == "real"
-            certs = _certify_real_roots(cfg, f, result.system, refined) if real_field else None
-            results[name] = build_value_set_report(result, refined, certs)
+            certs = _certify_real_roots(cfg, f, result) if cfg.field == "real" else None
+            results[name] = build_value_set_report(result, certs)
             eliminants[name] = result.eliminant
         timings[name] = int(1000 * (time.perf_counter() - t0))
         if cfg.dump_system and result.system is not None:
@@ -292,10 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paper-bounds", action="store_true",
                    help="use the complete arc bounds for (n, deg f)")
     p.add_argument("--force", action="store_true",
-                   help="run paper bounds even past the arc-variable ceiling")
-    p.add_argument("--arc-var-ceiling", type=int, default=64,
-                   help="refuse --paper-bounds above this many arc variables "
-                   "unless --force (default: 64)")
+                   help="run paper bounds even past the arc-variable ceiling "
+                   f"({ARC_VAR_CEILING})")
     p.add_argument("--seed", type=int, default=0, help="certifier RNG seed")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--dump-system", action="store_true",
@@ -339,7 +330,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         bounds=_parse_bounds(args.bounds) if args.bounds is not None else None,
         paper_bounds=args.paper_bounds,
         force=args.force,
-        arc_var_ceiling=args.arc_var_ceiling,
         seed=args.seed,
         dump_system=args.dump_system,
         timings=args.timings,

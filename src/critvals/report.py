@@ -16,16 +16,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any
 
 from .certify import CertificationOutcome
 from .poly import serialize_poly
 from .solve import SFResult, UnivariateResult
 from .systems import EquationSystem
-from .univariate import RootInterval
-
-REPORT_INTERVAL_WIDTH = Fraction(1, 10**12)
 
 
 @dataclass(frozen=True)
@@ -98,27 +94,24 @@ class CriticalValueReport:
 
 
 def build_value_set_report(
-    result: UnivariateResult,
-    refined_roots: Sequence[RootInterval],
-    certifications: list[CertificationOutcome] | None = None,
+    result: UnivariateResult, certifications: list[CertificationOutcome] | None = None
 ) -> dict[str, Any]:
-    """The JSON object of a solver result.  `refined_roots` are its real
-    roots refined to REPORT_INTERVAL_WIDTH; certifications (real runs)
-    pair with them in ascending order and add the headline set of
+    """The JSON object of a solver result.  Certifications (real runs) pair
+    with its real roots in ascending order and add the headline set of
     certified values."""
-    certs = certifications if certifications is not None else [None] * len(refined_roots)
+    certs = certifications if certifications is not None else [None] * len(result.real_roots)
     out: dict[str, Any] = {
         "eliminant": serialize_poly(result.eliminant),
         "completeness": result.completeness,
         "real_roots": [
             {
-                "interval_lo": str(refined.lo),
-                "interval_hi": str(refined.hi),
-                "approx": refined.approx(),
+                "interval_lo": str(root.lo),
+                "interval_hi": str(root.hi),
+                "approx": root.approx(),
                 "certification": cert.status if cert is not None else None,
                 "cert_residual": cert.residual if cert is not None else None,
             }
-            for refined, cert in zip(refined_roots, certs)
+            for root, cert in zip(result.real_roots, certs)
         ],
         "complex_roots": [asdict(c) for c in result.complex_roots],
         "diagnostics": asdict(result.diagnostics),

@@ -42,6 +42,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .arcs import ArcShape
@@ -60,10 +61,14 @@ from .univariate import (
     RootInterval,
     approx_complex_roots,
     isolate_real_roots,
+    refine_interval,
     squarefree_part,
 )
 
 Y_TABLE = VarTable(("y",))
+# every real root leaves a value set refined to this width: the interval
+# the report prints and the certifier starts from
+REPORT_INTERVAL_WIDTH = Fraction(1, 10**12)
 
 COMPLETE = "paper-bounds-complete"
 SOUND_ONLY = "reduced-bounds-sound-only"
@@ -103,7 +108,8 @@ class UnivariateResult:
 
     The eliminant is content-free over the table ("y",); the constant 1
     means the system was infeasible and the value set empty.  real_roots
-    are exact isolating intervals; complex_roots carry residual bounds.
+    are exact isolating intervals at most REPORT_INTERVAL_WIDTH wide, the
+    ones the report prints; complex_roots carry residual bounds.
     system is the arc system eliminated (BV for Kinf, GBV for K), the one
     a real run certifies against; None for K0, which has no arc system.
     """
@@ -204,7 +210,10 @@ def _value_set(
         eliminant, reals, roots = Poly.const(Y_TABLE, 1), (), ()
     else:
         eliminant = squarefree_part(eliminant)
-        reals, roots = tuple(isolate_real_roots(eliminant)), tuple(approx_complex_roots(eliminant))
+        reals = tuple(
+            refine_interval(eliminant, r, REPORT_INTERVAL_WIDTH) for r in isolate_real_roots(eliminant)
+        )
+        roots = tuple(approx_complex_roots(eliminant))
     return UnivariateResult(eliminant, reals, roots, completeness, diagnostics, system)
 
 

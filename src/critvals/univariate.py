@@ -19,7 +19,9 @@ that doubles with every step; only returned endpoints become (reduced)
 Fractions.  Complex approximation is the one numeric step:
 eigenvalue-based initial guesses polished by Newton iteration, each
 accepted only with an explicit residual certificate
-|p(z)| < 1e-10 * ||p|| * max(1, |z|)^deg.
+|p(z)| < 1e-10 * ||p|| * max(1, |z|)^deg.  Where the coefficients span
+too many binades for the guesses to be found, they are found for
+p(2^s z) instead, certified there and scaled back.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .poly import Poly, PolyError, VarTable
+from .poly import Poly
 
 
 class UnivariateError(Exception):
@@ -51,18 +53,6 @@ def _numerators(p: Poly) -> tuple[list[int], int]:
     for (d,), c in terms.items():
         out[d] = c
     return out, den
-
-
-def to_coefficients(p: Poly) -> list[Fraction]:
-    """Ascending coefficient list of a univariate Poly; [] for zero."""
-    coeffs, den = _numerators(p)
-    return [Fraction(c, den) for c in coeffs]
-
-
-def from_coefficients(vars: VarTable, coeffs: Sequence[Fraction]) -> Poly:
-    if vars.arity != 1:
-        raise UnivariateError("coefficient lists describe univariate polynomials")
-    return Poly(vars, {(i,): c for i, c in enumerate(coeffs)})
 
 
 def _primitive(coeffs: Sequence[int]) -> list[int]:
@@ -117,7 +107,8 @@ def squarefree_part(p: Poly) -> Poly:
         g, b = b, _primitive(_pdivmod(g, b)[1])
     if len(g) > 1:
         coeffs = _pdivmod(coeffs, g)[0]
-    return from_coefficients(p.vars, coeffs if coeffs[-1] > 0 else [-c for c in coeffs])
+    sign = 1 if coeffs[-1] > 0 else -1
+    return Poly(p.vars, {(i,): sign * c for i, c in enumerate(coeffs)})
 
 
 # ---- real root isolation (Sturm chains + bisection) ----
@@ -358,31 +349,51 @@ class ComplexRoot:
     residual: float
 
 
+def _unit_floats(coeffs: Sequence[int], den: int) -> np.ndarray:
+    """The floats of coeffs / den divided by the largest in magnitude."""
+    # float() overflows from 2^1024: scale larger values exactly by a power
+    # of two first (every value below 2^1001, read in lowest terms, is left
+    # as it is)
+    gcds = [math.gcd(c, den) for c in coeffs]
+    excess = max((c // g).bit_length() - (den // g).bit_length() for c, g in zip(coeffs, gcds)) - 1000
+    if excess > 0:
+        den <<= excess
+    cf = np.array([c / den for c in coeffs], dtype=np.float64)
+    cf /= float(np.max(np.abs(cf)))
+    return cf
+
+
 def approx_complex_roots(p: Poly) -> list[ComplexRoot]:
     """All deg(p) complex roots with residual certificates.
 
-    Certificate: |p(z)| < 1e-10 * max|coeff| * max(1, |z|)^deg for every
-    returned z.  Raises UnivariateError if polishing cannot reach that
-    bound (does not silently return bad roots).
+    Certificate: |q(z)| < 1e-10 * max|coeff| * max(1, |z|)^deg for every
+    z found, where q is p, or p(2^s z) when p's coefficients span too many
+    binades for one float scaling and each returned root is 2^s z.  Raises
+    UnivariateError if polishing cannot reach that bound (does not silently
+    return bad roots) or a root lies beyond the float range.
     """
-    coeffs = to_coefficients(p)
+    coeffs, den = _numerators(p)
     if not coeffs:
         raise UnivariateError("roots of the zero polynomial")
     if len(coeffs) == 1:
         return []
-    # float() overflows from 2^1024: scale larger coefficients exactly by a
-    # power of two first (every |c| < 2^1001 is left as it is)
-    excess = max(c.numerator.bit_length() - c.denominator.bit_length() for c in coeffs) - 1000
-    if excess > 0:
-        coeffs = [c / (1 << excess) for c in coeffs]
-    cf = np.array([float(c) for c in coeffs], dtype=np.float64)
-    scale = float(np.max(np.abs(cf)))
-    cf /= scale
-    deg = len(cf) - 1
+    deg = len(coeffs) - 1
+    cf = _unit_floats(coeffs, den)
     roots = np.roots(cf[::-1])
+    lost = f"{len(roots)} of {deg} complex roots found: some lie beyond the float range"
+    shift = 0
     if len(roots) < deg or not np.isfinite(roots).all():
-        # the scaling above flushed the leading coefficient to zero
-        raise UnivariateError(f"{len(roots)} of {deg} complex roots found: some lie beyond the float range")
+        # the leading coefficient flushed to 0.0 (or below the normal
+        # range), so some |c_i / c_deg| is beyond 2^1000: solve
+        # q(z) = p(2^s z), s > 0, with 2^s a Fujiwara-style bound on the
+        # roots, so that q's leading coefficient is within a factor 2 of its
+        # largest one, and map the roots back
+        bits = [abs(c).bit_length() for c in coeffs]
+        shift = max(-((bits[-1] - b) // (deg - i)) for i, b in enumerate(bits[:-1]) if b)
+        cf = _unit_floats([c << (shift * i) for i, c in enumerate(coeffs)], den)
+        roots = np.roots(cf[::-1])
+        if len(roots) < deg or not np.isfinite(roots).all():
+            raise UnivariateError(lost)
     # descending Python floats: the IEEE operations numpy scalars would do, faster
     desc, ddesc = cf[::-1].tolist(), (cf[1:] * np.arange(1, deg + 1))[::-1].tolist()
 
@@ -415,6 +426,9 @@ def approx_complex_roots(p: Poly) -> list[ComplexRoot]:
                 f"root polishing stalled: residual {residual:.3e} at z={z!r} "
                 f"exceeds bound {bound:.3e}"
             )
-        out.append(ComplexRoot(float(z.real), float(z.imag), float(residual)))
+        try:
+            out.append(ComplexRoot(math.ldexp(z.real, shift), math.ldexp(z.imag, shift), float(residual)))
+        except OverflowError:
+            raise UnivariateError(lost) from None
     out.sort(key=lambda r: (r.re, r.im))
     return out

@@ -28,7 +28,9 @@ and `reference_refine_interval` are the package's earlier Fraction-arithmetic
 squarefree part, Sturm isolation and bisection refinement, the reference for
 the integer kernel in `critvals.univariate`.  `reference_approx_complex_roots`
 is the earlier complex root polishing over numpy scalars, the bitwise
-reference for `approx_complex_roots` on Python floats.
+reference for `approx_complex_roots` on Python floats.  They read and
+build polynomials as ascending Fraction lists (`to_coefficients`,
+`from_coefficients`); the package keeps integer lists only.
 
 Certifier: `reference_levenberg_marquardt` is the package's earlier
 one-start Levenberg-Marquardt, and `reference_certify_zero` and
@@ -50,7 +52,19 @@ from critvals import certify
 from critvals.arcs import ArcPowers, ArcShape
 from critvals.certify import CertificationOutcome, CertifyConfig, CompiledSystem, ProbeRow
 from critvals.poly import Exponent, Poly, VarTable
-from critvals.univariate import ComplexRoot, RootInterval, UnivariateError, from_coefficients, to_coefficients
+from critvals.univariate import ComplexRoot, RootInterval, UnivariateError
+
+
+def to_coefficients(p: Poly) -> list[Fraction]:
+    """Ascending Fraction coefficient list of a univariate Poly; [] for zero."""
+    coeffs = [Fraction(0)] * (p.total_degree() + 1)
+    for (d,), c in p.terms():
+        coeffs[d] = c
+    return coeffs
+
+
+def from_coefficients(vars: VarTable, coeffs: Sequence[Fraction]) -> Poly:
+    return Poly(vars, {(i,): c for i, c in enumerate(coeffs)})
 
 
 def to_sympy(p: Poly, symbols):

@@ -92,7 +92,8 @@ def _perfbench_module(name: str):
 def test_tracer_counts_buchberger():
     # the groebner.* counters read buchberger's Ideal argument and the Poly
     # terms of its GroebnerBasis result; the systems.* counters read
-    # num_terms() on build_system's result
+    # num_terms() on build_system's result; the univariate.* counters count
+    # the isolation and refinement that solve makes
     spans = _perfbench_module("spans")
     tracer = spans.Tracer()
     restore = tracer.install(critvals)
@@ -107,6 +108,8 @@ def test_tracer_counts_buchberger():
         "groebner.max_coeff_bits",
         "systems.build_calls",
         "systems.generator_terms",
+        "univariate.refine_calls",
+        "univariate.eliminant_degree",
     ):
         assert metrics[name] > 0, name
 

@@ -74,6 +74,18 @@ class TestSpecExamples:
         assert [(r["re"], r["im"]) for r in roots] == [(1.0, 0.0), (1.0, 0.0)]
         assert all(r["residual"] < 1e-10 for r in roots)
 
+    def test_values_of_a_wide_span_eliminant_are_found(self, capsys):
+        # eliminant y^2 - 4*10^450 spans about 1496 binades, more than one
+        # float scaling holds; its values +-2*10^225 are in the float range
+        code, doc = run_json(capsys, "x^3 - 3*10^150*x", "--vars", "x", "--set", "k0")
+        assert code == 0
+        result = doc["results"]["k0"]
+        assert result["eliminant"] == f"y^2 - {4 * 10**450}"
+        assert [r["im"] for r in result["complex_roots"]] == [0.0, 0.0]
+        for values in ([r["re"] for r in result["complex_roots"]], [r["approx"] for r in result["real_roots"]]):
+            assert len(values) == 2
+            assert all(abs(v - w) <= 1e-12 * 2e225 for v, w in zip(values, (-2e225, 2e225)))
+
 
 class TestSchema:
     def test_golden_shape(self, capsys):
@@ -165,18 +177,13 @@ class TestExitCodes:
         assert code == 3
         assert doc["error"]["type"] == "LimitExceeded"
 
-    def test_guard_refusal_is_3_and_force_overrides(self, capsys):
-        code, doc = run_json(
-            capsys, "x^3 - 3*x", "--set", "kinf", "--paper-bounds",
-            "--arc-var-ceiling", "3",
-        )
+    def test_guard_refusal_is_3_and_force_overrides(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ARC_VAR_CEILING", 3)
+        code, doc = run_json(capsys, "x^3 - 3*x", "--set", "kinf", "--paper-bounds")
         assert code == 3
         assert doc["error"]["type"] == "GuardRefusal"
         assert "(1, 3)" in doc["error"]["message"]  # the computed paper bounds
-        code, doc = run_json(
-            capsys, "x^3 - 3*x", "--set", "kinf", "--paper-bounds",
-            "--arc-var-ceiling", "3", "--force",
-        )
+        code, doc = run_json(capsys, "x^3 - 3*x", "--set", "kinf", "--paper-bounds", "--force")
         assert code == 0
         assert doc["config"]["bounds"] == {"source": "paper", "D1": 1, "D2": 3}
         assert doc["results"]["kinf"]["completeness"] == "paper-bounds-complete"
@@ -364,7 +371,7 @@ def test_console_script_entry_point():
 
 
 def test_guard_refusal_exception_type():
-    cfg = RunConfig(value_set="kinf", paper_bounds=True, field="real", arc_var_ceiling=64)
+    cfg = RunConfig(value_set="kinf", paper_bounds=True, field="real")
     with pytest.raises(GuardRefusal):
         run(cfg, "x + x^2*y")
 
@@ -378,7 +385,6 @@ def test_package_main_runs_without_warning():
 
 def test_real_run_builds_each_system_once_and_refines_each_root_once(capsys, monkeypatch):
     import critvals.certify
-    import critvals.report
     import critvals.solve
     import critvals.systems
 
@@ -393,11 +399,10 @@ def test_real_run_builds_each_system_once_and_refines_each_root_once(capsys, mon
         refined.append(interval)
         return real_refine(p, interval, width)
 
-    real_build, real_refine = critvals.systems.build_system, cli.refine_interval
+    real_build, real_refine = critvals.systems.build_system, critvals.solve.refine_interval
     for module in (critvals.certify, critvals.solve):
         monkeypatch.setattr(module, "build_system", counting_build)
-    for module in (cli, critvals.report):
-        monkeypatch.setattr(module, "refine_interval", counting_refine, raising=False)
+    monkeypatch.setattr(critvals.solve, "refine_interval", counting_refine)
     code, doc = run_json(
         capsys, "x + x^2*y", "--field", "real", "--set", "all", "--bounds", "1,1",
         "--dump-system", "--restarts", "8",

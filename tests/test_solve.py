@@ -259,6 +259,49 @@ class TestComputeK:
         assert sympy.rem(eb, es, y) == 0
 
 
+# ---- metamorphic: a linear change of coordinates keeps every value set ----
+
+# (f over X, Y, its K and Kinf eliminant at shape (1, 1))
+PAPER_EXAMPLES = {
+    "broughton": ("({X}) + ({X})^2*({Y})", "y"),
+    "quintic": ("({X})*(({X})^2 + 1)^2", "3125*y^3 + 256*y"),
+}
+# A as the images of X and Y in x, y
+LINEAR_MAPS = {"x+y": ("x + y", "y"), "x+2y": ("x + 2*y", "y"), "2x+3y,x+y": ("2*x + 3*y", "x + y")}
+ESCAPING_ARCS_LOST = pytest.mark.xfail(
+    strict=True,
+    reason="the sum normalization of the BV system loses escaping arcs whose "
+    "positive part lies in x + y = 0 (ROADMAP item 1: chart cover)",
+)
+
+
+def _value_sets_commute(compute, example, images):
+    template, eliminant = PAPER_EXAMPLES[example]
+    shape = ArcShape(n=2, D1=1, D2=1)
+    want = parse_poly(eliminant, Y_TABLE)
+    assert compute(P(template.format(X="x", Y="y")), shape).eliminant == want
+    assert compute(P(template.format(X=images[0], Y=images[1])), shape).eliminant == want
+
+
+@pytest.mark.parametrize("images", LINEAR_MAPS.values(), ids=LINEAR_MAPS)
+@pytest.mark.parametrize("example", PAPER_EXAMPLES)
+def test_k_of_f_composed_with_a_linear_map_is_k_of_f(example, images):
+    # K eliminates the GBV system, which has no normalization
+    _value_sets_commute(compute_k, example, images)
+
+
+@pytest.mark.parametrize(
+    "images",
+    [
+        pytest.param(images, id=name, marks=ESCAPING_ARCS_LOST if name == "x+y" else ())
+        for name, images in LINEAR_MAPS.items()
+    ],
+)
+@pytest.mark.parametrize("example", PAPER_EXAMPLES)
+def test_kinf_of_f_composed_with_a_linear_map_is_kinf_of_f(example, images):
+    _value_sets_commute(compute_kinf, example, images)
+
+
 class TestComputeSF:
     def test_blowup_map(self):
         res = compute_sF([P("x"), P("x*y")], ArcShape(n=2, D1=1, D2=1))

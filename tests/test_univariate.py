@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from critvals import univariate
 from critvals.poly import Poly, VarTable, parse_poly
-from critvals.report import REPORT_INTERVAL_WIDTH
+from critvals.solve import REPORT_INTERVAL_WIDTH
 from critvals.univariate import (
     ComplexRoot,
     RootInterval,
@@ -21,13 +21,13 @@ from critvals.univariate import (
     isolate_real_roots,
     refine_interval,
     squarefree_part,
-    to_coefficients,
 )
 from oracles import (
     reference_approx_complex_roots,
     reference_isolate_real_roots,
     reference_refine_interval,
     reference_squarefree_part,
+    to_coefficients,
 )
 
 Y = VarTable(("y",))
@@ -151,6 +151,17 @@ class TestComplexRoots:
         roots = approx_complex_roots(P(f"{2**1100}*y^2 - {2**1100}*y + {2**1101}"))
         got = sorted((round(r.re, 8), round(r.im, 8)) for r in roots)
         assert got == [(0.5, round(-(7**0.5) / 2, 8)), (0.5, round(7**0.5 / 2, 8))]
+
+    def test_roots_of_a_wide_span_are_found_on_a_scaled_variable(self):
+        # y^3 - 4*10^450 y spans about 1496 binades: divided by its largest
+        # coefficient the leading one flushes to 0.0, so the roots 0 and
+        # +-2*10^225 are found for p(2^s z) and scaled back
+        roots = approx_complex_roots(P(f"y^3 - {4 * 10**450}*y"))
+        assert [r.im for r in roots] == [0.0, 0.0, 0.0]
+        assert roots[1].re == 0.0
+        for r, want in zip(roots[::2], (-2e225, 2e225)):
+            assert abs(r.re - want) <= 1e-12 * 2e225
+            assert r.residual < 1e-10
 
     def test_roots_lost_to_the_scaling_raise(self):
         # the roots are +-2*10^450 i: scaled below 2^1001, the leading
