@@ -29,8 +29,9 @@ by mask before it compares exponents.  Top reduction and full normal form
 share the same step; both check the clock every 32 steps.  Full normal form
 also tracks the positive rational factor its steps and content stripping
 scale the result by, so `normal_form` is exact and the Krylov sequence of
-`minimal_polynomial` (v_k = NF(p * v_(k-1)), as in FGLM: Faugere, Gianni,
-Lazard, Mora, JSC 1993) stays on integer dicts.
+`minimal_polynomial` (v_k = NF(p * v_(k-1)), combined from memoised
+multiplication-matrix columns as in FGLM: Faugere, Gianni, Lazard, Mora,
+JSC 1993) stays on integer dicts.
 
 Pair selection is the normal strategy refined by sugar degree: pairs wait in
 a heap keyed (sugar, encoded lcm, i, j), computed once when the pair is
@@ -53,7 +54,7 @@ from itertools import compress
 from operator import add, itemgetter, le, neg, sub
 from typing import Callable, NamedTuple, Sequence
 
-from .poly import Poly, VarTable, _positive_lead, _product, _strip_content
+from .poly import Poly, VarTable, _positive_lead, _strip_content
 
 Mono = tuple[int, ...]
 
@@ -515,7 +516,12 @@ def minimal_polynomial(
     The Krylov sequence v_0 = NF(1), v_k = NF(p * v_(k-1)) runs on integer
     dicts, each vector kept as s_k * v_k with s_k > 0 tracked exactly, until
     the first linear dependence; a fraction-free echelon keyed by leading
-    monomial finds it.  The loop shares the run's clock, and
+    monomial finds it.  As in FGLM, a step does not reduce p * v_(k-1): it
+    combines the columns NF(p * b) of the standard monomials b in v_(k-1)'s
+    support.  A column is built when first needed, from the column of
+    b / x_i (x_i the last variable of b) and the normal forms of the border
+    monomials x_i * m, each reduced once as a single term; only NF(p) itself
+    reduces more than one term.  The loop shares the run's clock, and
     max_coefficient_bits holds for every Krylov vector."""
     order = _order(p.vars.arity, gb.eliminate)
     limits = limits or ResourceLimits()
@@ -525,7 +531,38 @@ def minimal_polynomial(
     if 0 not in pure and len(pure) < len(run.bits):
         return None
     mult, alpha = _encode_poly(p, order)
-    vec, scale = run.normal_form({order.encode((0,) * order.arity): 1}, reducers)
+    one = order.encode((0,) * order.arity)
+    units = [order.encode(tuple(int(i == j) for j in range(order.arity))) for i in range(order.arity)]
+    columns: dict[Mono, tuple[dict[Mono, int], Fraction]] = {}  # b -> (s_b * NF(mult * b), s_b)
+    borders: dict[Mono, tuple[dict[Mono, int], Fraction]] = {}  # m -> (t_m * NF(m), t_m)
+
+    def border(m: Mono) -> tuple[dict[Mono, int], Fraction]:
+        if m not in borders:
+            exps = order.decode(m)
+            if _reducer(exps, _support(exps, run.bits), reducers) is None:
+                borders[m] = {m: 1}, Fraction(1)
+            else:
+                borders[m] = run.normal_form({m: 1}, reducers)
+        return borders[m]
+
+    def column(b: Mono) -> tuple[dict[Mono, int], Fraction]:
+        path = []  # (monomial, its last variable's unit), down to a built column
+        while b not in columns and b != one:
+            exps = order.decode(b)
+            x = units[max(i for i, e in enumerate(exps) if e)]
+            path.append((b, x))
+            b = _quo(b, x)  # a divisor of a standard monomial is standard
+        if b not in columns:
+            columns[b] = run.normal_form(dict(mult), reducers)
+            run.check_clock()
+        for b, x in reversed(path):
+            col, s = columns[_quo(b, x)]
+            w, r = _combine([(c, *border(_mul(x, m))) for m, c in col.items()])
+            columns[b] = w, s * r
+            run.check_clock()
+        return columns[b]
+
+    vec, scale = run.normal_form({one: 1}, reducers)
     scales: list[Fraction] = []  # vector k is scales[k] * v_k
     rows: dict[Mono, tuple[dict[Mono, int], dict[int, int]]] = {}  # pivot -> (row, combination)
     while True:
@@ -540,12 +577,26 @@ def minimal_polynomial(
         if not row:
             break
         rows[pivot] = (row, comb)
-        vec, s = run.normal_form(_product(mult, vec), reducers)
+        vec, s = _combine([(c, *column(b)) for b, c in vec.items()])
         scale *= alpha * s
         run.check_clock()
     # sum comb[j] * scales[j] * v_j = 0, and comb[k] != 0 since v_0..v_(k-1) are independent
     lead = comb[k] * scales[k]
     return Poly(out, {(j,): c * scales[j] / lead for j, c in comb.items()})
+
+
+def _combine(terms: list[tuple[int, dict[Mono, int], Fraction]]) -> tuple[dict[Mono, int], Fraction]:
+    """The content-free w and r > 0 with w = r * sum(c / s * v), over
+    (c, v, s) in terms, each s > 0."""
+    lcm = math.lcm(*(s.numerator for _, _, s in terms))
+    out: dict[Mono, int] = {}
+    get = out.get
+    for c, v, s in terms:
+        k = c * s.denominator * (lcm // s.numerator)
+        for m, d in v.items():
+            out[m] = get(m, 0) + k * d
+    out = {m: c for m, c in out.items() if c}
+    return out, Fraction(lcm, _strip_content(out) or 1)
 
 
 def _eliminate(

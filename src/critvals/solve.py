@@ -28,9 +28,10 @@ finite, <grad f> is zero-dimensional and the eliminant is the minimal
 polynomial of multiplication by f on Q[x]/<grad f> (Stickelberger's
 theorem; Cox-Little-O'Shea, Using Algebraic Geometry, ch. 2 s. 4): a
 grevlex basis of the gradient ideal in the original variables plus a
-Krylov sequence of normal forms (`groebner.minimal_polynomial`), the
-linear-algebra step FGLM also uses.  Only a critical locus that is not
-finite takes the block elimination above.
+Krylov sequence (`groebner.minimal_polynomial`), the linear-algebra step
+FGLM also uses, which it builds as FGLM does: from columns of the
+multiplication matrix made of single-monomial normal forms.  Only a
+critical locus that is not finite takes the block elimination above.
 
 K0 elimination is exact.  Arc-based eliminations are exact at paper
 bounds; at user bounds the root set is sound (a subset of the true value

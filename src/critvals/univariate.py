@@ -6,7 +6,9 @@ and refinement read is the sign of the exact rational value.  Each public
 call turns its Poly into an ascending list of content-free Python ints
 once: the integer numerators with their content divided out, a positive
 factor, so every sign is kept.  The gcd for the squarefree part and the
-Sturm chain are primitive pseudo-remainder sequences (Collins, JACM 1967).
+Sturm chain are primitive pseudo-remainder sequences (Collins, JACM 1967);
+the gcd's sequence is skipped when p and p' are coprime modulo a prime that
+does not divide lc(p), which certifies p squarefree.
 The sign of p(n/d), d > 0, is first read off a float Horner sum acc,
 kept only when |acc| exceeds a proven bound on its error, (4 len + 8)
 2^-52 times the same sum over |c_i| plus 1e-300 (Shewchuk's filter with
@@ -94,19 +96,52 @@ def _pdivmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
     return quot, rem
 
 
+# the Mersenne prime 2^61 - 1, the modulus of the squarefree certificate
+_CERTIFICATE_PRIME = (1 << 61) - 1
+
+
+def _coprime_mod(a: Sequence[int], b: Sequence[int], q: int) -> bool:
+    """Whether the images of a and b in F_q[x], q prime, have gcd 1."""
+    a, b = _trim_mod(a, q), _trim_mod(b, q)
+    while b:
+        inv, m = pow(b[-1], -1, q), len(b) - 1
+        while len(a) > m:
+            c = a.pop() * inv % q
+            off = len(a) - m
+            for i in range(m):
+                a[off + i] = (a[off + i] - c * b[i]) % q
+        a, b = b, _trim_mod(a, q)
+    return len(a) == 1
+
+
+def _trim_mod(coeffs: Sequence[int], q: int) -> list[int]:
+    out = [c % q for c in coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def squarefree_part(p: Poly) -> Poly:
-    """p / gcd(p, p'), content-free with positive leading coefficient."""
+    """p / gcd(p, p'), content-free with positive leading coefficient.
+
+    A squarefree p is usually certified as such by one gcd modulo a prime,
+    and returned without the pseudo-remainder sequence."""
     coeffs = _integer_coefficients(p)
     if not coeffs:
         raise UnivariateError("squarefree part of the zero polynomial")
     if len(coeffs) == 1:
         return Poly.const(p.vars, 1)
-    # primitive gcd: p / g of a content-free p and a primitive g is content-free
-    g, b = coeffs, _primitive(_derivative(coeffs))
-    while b:
-        g, b = b, _primitive(_pdivmod(g, b)[1])
-    if len(g) > 1:
-        coeffs = _pdivmod(coeffs, g)[0]
+    # Certificate: a nonconstant primitive common factor g of p and p' has
+    # lc(g) | lc(p), so when q does not divide lc(p), g mod q keeps its
+    # degree and divides both images; coprime images rule g out.
+    q = _CERTIFICATE_PRIME
+    if not coeffs[-1] % q or not _coprime_mod(coeffs, _derivative(coeffs), q):
+        # primitive gcd: p / g of a content-free p and a primitive g is content-free
+        g, b = coeffs, _primitive(_derivative(coeffs))
+        while b:
+            g, b = b, _primitive(_pdivmod(g, b)[1])
+        if len(g) > 1:
+            coeffs = _pdivmod(coeffs, g)[0]
     sign = 1 if coeffs[-1] > 0 else -1
     return Poly(p.vars, {(i,): sign * c for i, c in enumerate(coeffs)})
 

@@ -32,6 +32,12 @@ reference for `approx_complex_roots` on Python floats.  They read and
 build polynomials as ascending Fraction lists (`to_coefficients`,
 `from_coefficients`); the package keeps integer lists only.
 
+Minimal polynomial: `reference_minimal_polynomial` is the package's earlier
+Krylov loop, one full normal form of p * v_(k-1) per step, the reference
+for the column-combining loop of `critvals.groebner.minimal_polynomial`;
+both keep every Krylov vector content-free with a positive scale, so their
+vectors, eliminants and coefficient-limit messages agree exactly.
+
 Certifier: `reference_levenberg_marquardt` is the package's earlier
 one-start Levenberg-Marquardt, and `reference_certify_zero` and
 `reference_probe_steps` run the certification and the Malgrange probe on it
@@ -51,7 +57,17 @@ import sympy
 from critvals import certify
 from critvals.arcs import ArcPowers, ArcShape
 from critvals.certify import CertificationOutcome, CertifyConfig, CompiledSystem, ProbeRow
-from critvals.poly import Exponent, Poly, VarTable
+from critvals.groebner import (
+    GroebnerBasis,
+    LimitExceeded,
+    ResourceLimits,
+    _eliminate,
+    _encode_poly,
+    _order,
+    _reducers,
+    _Run,
+)
+from critvals.poly import Exponent, Poly, VarTable, _product
 from critvals.univariate import ComplexRoot, RootInterval, UnivariateError
 
 
@@ -128,6 +144,44 @@ def k0_bivariate_oracle(f: Poly) -> tuple:
     if not pure:
         raise ValueError("oracle: elimination ideal is zero (infinite K0?)")
     return normalized_coeffs(pure[0], y)
+
+
+# ---- minimal polynomial reference ----
+
+
+def reference_minimal_polynomial(
+    p: Poly, gb: GroebnerBasis, out: VarTable, limits: ResourceLimits | None = None
+) -> Poly | None:
+    """Monic minimal polynomial of multiplication by p on Q[x]/<gb>, with
+    the Krylov sequence v_k = NF(p * v_(k-1)) reduced in full each step."""
+    order = _order(p.vars.arity, gb.eliminate)
+    limits = limits or ResourceLimits()
+    run = _Run(order, limits)
+    reducers = _reducers(gb, run)
+    pure = {e.mask for e in reducers if not e.mask & (e.mask - 1)}
+    if 0 not in pure and len(pure) < len(run.bits):
+        return None
+    mult, alpha = _encode_poly(p, order)
+    vec, scale = run.normal_form({order.encode((0,) * order.arity): 1}, reducers)
+    scales: list[Fraction] = []  # vector k is scales[k] * v_k
+    rows = {}  # pivot -> (row, combination)
+    while True:
+        k = len(scales)
+        scales.append(scale)
+        bits = max((c.bit_length() for c in vec.values()), default=0)
+        if bits > limits.max_coefficient_bits:
+            raise LimitExceeded("max_coefficient_bits", f"Krylov vector {k} reached {bits} bits")
+        row, comb = dict(vec), {k: 1}
+        while row and (pivot := max(row)) in rows:
+            _eliminate(row, comb, pivot, *rows[pivot])
+        if not row:
+            break
+        rows[pivot] = (row, comb)
+        vec, s = run.normal_form(_product(mult, vec), reducers)
+        scale *= alpha * s
+        run.check_clock()
+    lead = comb[k] * scales[k]
+    return Poly(out, {(j,): c * scales[j] / lead for j, c in comb.items()})
 
 
 # ---- Laurent substitution references ----

@@ -3,10 +3,11 @@
 import math
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.orderings import ProductOrder, grevlex
 
@@ -33,7 +34,17 @@ from critvals.poly import Poly, VarTable, parse_poly, serialize_poly
 from critvals.solve import Y_TABLE, _eliminate_images, heuristic_shape
 from critvals.systems import build_system
 
+from oracles import reference_minimal_polynomial
+
 XY = VarTable(("x", "y"))
+XYZ = VarTable(("x", "y", "z"))
+# the dense degree-5 golden input; Q[x, y]/<grad> has dimension 16
+DENSE5 = (
+    "-x^5 + x^4*y + x^3*y^2 + x^2*y^3 + x*y^4 - y^5 - x^4 + x^3*y + x^2*y^2 - x*y^3 + y^4"
+    " + x^3 - x^2*y - x*y^2 + y^3 - x^2 - x*y - y^2 - x + y - 1"
+)
+# a dense quartic whose gradient quotient has dimension 27
+QUARTIC3 = "x^4 + y^4 + z^4 + x*y*z + x^2*y + y^2*z + z^2*x + x + 2*y + 3*z"
 
 
 def P(text, vars=XY):
@@ -125,6 +136,27 @@ class TestMinimalPolynomial:
         gb = buchberger(grevlex_ideal("x^5 - x*y - 3", "y^5 - 2*x^2 + y"))
         with pytest.raises(LimitExceeded, match="wall_clock_budget"):
             minimal_polynomial(P("x + 2*y"), gb, Y_TABLE, ResourceLimits(wall_clock_budget=1e-6))
+
+    def test_krylov_loop_reduces_single_border_monomials(self, monkeypatch):
+        # a loop that reduced p * v_k in full each step would stay correct, only slow
+        f = P(DENSE5)
+        gb = gradient_basis(f)
+        lms = [next(g.terms())[0] for g in gb.basis]
+        box = product(range(max(map(max, lms)) + 1), repeat=2)
+        dim = sum(1 for m in box if not any(_divides(lm, m) for lm in lms))
+        assert dim == 16
+        sizes = []
+        real = _Run.normal_form
+
+        def recording(self, work, reducers):
+            sizes.append(len(work))
+            return real(self, work, reducers)
+
+        monkeypatch.setattr(_Run, "normal_form", recording)
+        minimal_polynomial(f, gb, Y_TABLE)
+        # v_0 = NF(1), NF(f) and one per border monomial outside the standard set
+        assert [s for s in sizes if s > 1] == [len(list(f.terms()))]
+        assert len(sizes) <= 2 * dim + 2
 
 
 class TestLimits:
@@ -442,3 +474,68 @@ def test_buchberger_matches_sympy(eliminate, case):
         for e in reference.exprs
     }
     assert ours == theirs
+
+
+# ---- the column-combining Krylov loop against the full-reduction loop ----
+
+
+def gradient_basis(f):
+    grads = tuple(g for g in (f.partial_derivative(j) for j in range(f.vars.arity)) if not g.is_zero())
+    return buchberger(Ideal(grads))
+
+
+@st.composite
+def gradient_inputs(draw):
+    """f in 1 to 3 variables of degree 3 to 5 (3 in three variables):
+    dense, with a pure power of every variable at the top degree; separable,
+    a sum of univariate parts, whose critical values repeat (so the minimal
+    polynomial's degree falls below the quotient's dimension) and whose
+    critical points may be multiple; or, from degree 4, the square of a
+    quadratic plus a linear term."""
+    n, top = draw(st.sampled_from([(1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (3, 3)]))
+    table = VarTable(("x", "y", "z")[:n])
+    coeff = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    kind = draw(st.sampled_from(("dense", "separable", "square") if top > 3 else ("dense", "separable")))
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    if kind == "square":
+        monos = [m for m in product(range(top // 2 + 1), repeat=n) if sum(m) <= top // 2]
+        g = Poly(table, draw(st.dictionaries(st.sampled_from(monos), coeff, min_size=1, max_size=4)))
+        return g * g + Poly(table, {units[draw(st.integers(0, n - 1))]: Fraction(draw(coeff))})
+    if kind == "separable":
+        monos = [tuple(d * e for e in u) for u in units for d in range(1, top + 1)]
+    else:
+        monos = [m for m in product(range(top + 1), repeat=n) if 1 < sum(m) <= top]
+    terms = draw(st.dictionaries(st.sampled_from(monos), coeff, min_size=n, max_size=8))
+    for u in units:
+        terms[tuple(top * e for e in u)] = draw(coeff)
+    return Poly(table, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gradient_inputs())
+@example(P(DENSE5))
+@example(P(QUARTIC3, XYZ))
+@example(P("(x^2 + y^2 - 1)^2 + x"))
+@example(P("x + y^2"))  # the unit ideal
+def test_minimal_polynomial_matches_full_reduction(f):
+    gb = gradient_basis(f)
+    want = reference_minimal_polynomial(f, gb, Y_TABLE)
+    assume(want is not None)
+    assert minimal_polynomial(f, gb, Y_TABLE) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(gradient_inputs(), st.integers(1, 80))
+@example(P(DENSE5), 300)
+@example(P(QUARTIC3, XYZ), 200)
+def test_minimal_polynomial_trips_the_coefficient_cap_on_the_same_krylov_vector(f, bits):
+    gb = gradient_basis(f)
+    limits = ResourceLimits(max_coefficient_bits=bits)
+
+    def outcome(fn):
+        try:
+            return fn(f, gb, Y_TABLE, limits)
+        except LimitExceeded as err:
+            return str(err)
+
+    assert outcome(minimal_polynomial) == outcome(reference_minimal_polynomial)

@@ -367,3 +367,41 @@ def test_filter_settles_most_signs(monkeypatch):
         refine_interval(p, interval, REPORT_INTERVAL_WIDTH)
     assert calls["sign"] > 100
     assert calls["sign"] - calls["exact"] >= 0.8 * calls["sign"]
+
+
+Q = univariate._CERTIFICATE_PRIME
+
+
+def count_prs(monkeypatch) -> Counter:
+    calls = Counter()
+    real = univariate._pdivmod
+
+    def counted(a, b):
+        calls["pdivmod"] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(univariate, "_pdivmod", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"{Q}*y^2 + y - 1",  # q divides the leading coefficient
+        f"(y - 1)*(y - 1 - {Q})",  # squarefree, but a double root 1 modulo q
+        "(y^2 - 2)^2*(y + 1)",  # not squarefree
+    ],
+)
+def test_squarefree_certificate_declines_when_it_must(monkeypatch, text):
+    calls = count_prs(monkeypatch)
+    p = P(text)
+    assert squarefree_part(p) == reference_squarefree_part(p)
+    assert calls["pdivmod"] > 0
+
+
+def test_squarefree_certificate_skips_the_prs_on_the_dense5_eliminant(monkeypatch):
+    golden = json.loads((Path(__file__).parent / "data" / "dense5_k0.json").read_text())
+    p = P(golden["results"]["k0"]["eliminant"]) * Poly.const(Y, Fraction(-3, 7))
+    calls = count_prs(monkeypatch)
+    assert squarefree_part(p) == reference_squarefree_part(p)
+    assert calls["pdivmod"] == 0
