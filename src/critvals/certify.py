@@ -133,23 +133,22 @@ class ProbeTrace:
 class CompiledSystem:
     """Float evaluator of polynomials p_1..p_m and all their first partials.
 
-    One exponent matrix (U x n) lists every monomial of every p_i and of
-    every dp_i/dx_j once.  The value coefficients form an m x U matrix and
-    the Jacobian coefficients an (m*n) x U matrix, row i*n + j holding
-    dp_i/dx_j.  x is one point (n,) or a stack (..., n), real or complex,
-    and each point's result does not depend on the rest of the stack.
+    U columns list every monomial of every p_i and of every dp_i/dx_j
+    once.  The value coefficients form an m x U matrix and the Jacobian
+    coefficients an (m*n) x U matrix, row i*n + j holding dp_i/dx_j.  x is
+    one point (n,) or a stack (..., n), real or complex, and each point's
+    result does not depend on the rest of the stack.
 
     `bases` and `powers` list the P distinct (variable, exponent) pairs the
     columns use, and `pair_index` (U x n) maps each column's exponents to
-    them.  `monomials(x)` raises x to each pair once and multiplies each
-    column's factors, gathered into a C-contiguous (..., U, n) array, along
-    the last axis: bitwise `np.prod(x[..., None, :] ** exponents, axis=-1)`
+    them, so `powers[pair_index]` is the U x n exponent matrix.
+    `monomials(x)` raises x to each pair once and multiplies each column's
+    factors, gathered into a C-contiguous (..., U, n) array, along the last
+    axis: bitwise `np.prod(x[..., None, :] ** powers[pair_index], axis=-1)`
     (see the module docstring).  `values_at` and `jacobian_at` read the
     values and the Jacobian off monomial vectors with one `einsum` each."""
 
-    __slots__ = (
-        "size", "arity", "exponents", "bases", "powers", "pair_index", "value_coeffs", "jacobian_coeffs"
-    )
+    __slots__ = ("size", "arity", "bases", "powers", "pair_index", "value_coeffs", "jacobian_coeffs")
 
     def __init__(self, polys: Sequence[Poly]):
         if not polys:
@@ -174,7 +173,6 @@ class CompiledSystem:
         pair_index = [pairs.setdefault((j, e), len(pairs)) for mono in columns for j, e in enumerate(mono)]
         self.size = len(polys)
         self.arity = n
-        self.exponents = np.array(list(columns), dtype=np.int64).reshape(len(columns), n)
         self.bases = np.array([j for j, _ in pairs], dtype=np.intp)
         self.powers = np.array([e for _, e in pairs], dtype=np.int64)
         self.pair_index = np.array(pair_index, dtype=np.intp).reshape(len(columns), n)

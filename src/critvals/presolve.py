@@ -21,6 +21,9 @@ presolved again.  A finished branch keeps only the variables its
 generators and c0 still use, and equal finished branches are eliminated
 once.
 
+Each round factors every generator once, as x^alpha*h: the duplicate
+test keys on h, the zero set reads c*v^k off alpha, and the split takes
+the first generator of the last round with the fewest variables in alpha.
 The rewrites run on content-free integer term dicts over the input's
 table, with the term-dict helpers of `poly`.  v := -(rest)/c is
 fraction-free: a generator of degree e in v is multiplied by c^e.  c0 is
@@ -36,6 +39,7 @@ from typing import Callable, Sequence
 from .poly import Exponent, Poly, Terms, VarTable, _lowest_terms, _positive_lead, _product, _strip_content
 
 Image = tuple[Terms, int]  # c0 = terms / denominator
+_Factored = tuple[Exponent, Terms, Terms]  # (alpha, g, h) with g = x^alpha * h
 
 
 def presolve(
@@ -56,15 +60,18 @@ def presolve(
         rewritten = _rewrite(gens, image, tick)
         if rewritten is None:
             continue
-        gens, image = rewritten
-        split = _split_point(gens)
-        if split is None:
+        factored, image = rewritten
+        gens = [g for _, g, _ in factored]
+        # split on the first generator with the fewest variables in alpha
+        split = [(sum(map(bool, alpha)), k) for k, (alpha, _, _) in enumerate(factored) if any(alpha)]
+        if not split:
             num, den = image
             key = frozenset(frozenset(g.items()) for g in gens), frozenset(num.items()), den
             if key not in leaves:
                 leaves[key] = _finish(gens, image, names)
             continue
-        k, alpha, h = split
+        k = min(split)[1]
+        alpha, _, h = factored[k]
         zeroed = [{_unit(i, len(alpha)): 1} for i, e in enumerate(alpha) if e]
         children = [(gens + [x_i], image) for x_i in zeroed]
         children.append((gens[:k] + [h] + gens[k + 1 :], image))
@@ -74,23 +81,25 @@ def presolve(
 
 def _rewrite(
     gens: list[Terms], image: Image, tick: Callable[[], object]
-) -> tuple[list[Terms], Image] | None:
-    """The rewrites of the module docstring to a fixed point; None for the
-    unit ideal."""
+) -> tuple[list[_Factored], Image] | None:
+    """The rewrites of the module docstring to a fixed point, with the
+    factored generators of the last round; None for the unit ideal."""
     num, den = image
     while True:
         tick()
-        gens = _prune(gens)
-        if gens is None:
+        factored = _prune(gens)
+        if factored is None:
             return None
-        zero = {_pure_power_variable(g) for g in gens} - {None}
+        gens = [g for _, g, _ in factored]
+        # c*v^k: one term, and v its only variable
+        zero = {a.index(max(a)) for a, g, _ in factored if len(g) == 1 and max(a) == sum(a)}
         if zero:
             gens = [_set_zero(g, zero) for g in gens]
             num, den = _lowest_terms(_set_zero(num, zero), den)
             continue
         pivot = _linear_pivot(gens)
         if pivot is None:
-            return gens, (num, den)
+            return factored, (num, den)
         k, v = pivot
         g = gens[k]
         c = g[_unit(v, len(next(iter(g))))]
@@ -100,11 +109,12 @@ def _rewrite(
         num, den = _lowest_terms(num, den * scale)
 
 
-def _prune(gens: list[Terms]) -> list[Terms] | None:
-    """Content-free generators, positive at their largest exponent tuple,
-    without zeros, duplicates or monomial multiples of another generator;
-    None if one is a nonzero constant.  Normalises in place: a normalised
-    dict is left as it is, so branches may share them."""
+def _prune(gens: list[Terms]) -> list[_Factored] | None:
+    """(alpha, g, h) with g = x^alpha*h for the content-free generators g,
+    positive at their largest exponent tuple, without zeros, duplicates or
+    monomial multiples of another generator; None if one is a nonzero
+    constant.  Normalises in place: a normalised dict is left as it is, so
+    branches may share them."""
     prims = []
     for g in filter(None, gens):
         _strip_content(g)
@@ -116,27 +126,13 @@ def _prune(gens: list[Terms]) -> list[Terms] | None:
     for alpha, p in prims:
         if not any(alpha) and len(p) == 1:
             return None
-        alphas = kept.setdefault(frozenset(_divide_monomial(p, alpha).items()), [])
+        h = _divide_monomial(p, alpha)
+        alphas = kept.setdefault(frozenset(h.items()), [])
         # a divisor of alpha has lower degree, so it was met first
         if not any(all(a <= b for a, b in zip(other, alpha)) for other in alphas):
             alphas.append(alpha)
-            out.append(p)
+            out.append((alpha, p, h))
     return out
-
-
-def _split_point(gens: list[Terms]) -> tuple[int, Exponent, Terms] | None:
-    """(position, alpha, h) of the generator x^alpha*h to split on: the
-    first with the fewest variables in alpha, None if no generator has a
-    monomial factor."""
-    factored = [
-        (sum(map(bool, alpha)), k, alpha)
-        for k, alpha in enumerate(map(_monomial_content, gens))
-        if any(alpha)
-    ]
-    if not factored:
-        return None
-    _, k, alpha = min(factored)
-    return k, alpha, _divide_monomial(gens[k], alpha)
 
 
 def _finish(
@@ -169,14 +165,6 @@ def _divide_monomial(p: Terms, alpha: Exponent) -> Terms:
     if not any(alpha):
         return p
     return {tuple(e - a for e, a in zip(m, alpha)): c for m, c in p.items()}
-
-
-def _pure_power_variable(p: Terms) -> int | None:
-    """v if p is c*v^k, else None."""
-    if len(p) != 1:
-        return None
-    support = [i for i, e in enumerate(next(iter(p))) if e]
-    return support[0] if len(support) == 1 else None
 
 
 def _set_zero(p: Terms, zero: set[int]) -> Terms:

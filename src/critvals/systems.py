@@ -18,19 +18,22 @@ Generator families, with s_g the substituted series of component g:
 Identically zero coefficients are omitted.  c0 is the t^0 coefficient of
 s_f; it is data, not a generator.
 
-Substitution is a ring homomorphism, so s_{h_ij} = x_i(t) * s_{df/dx_j}:
-the e-family is read off that product of already-substituted series, not
-substituted afresh.  Every component of one build shares one `ArcPowers`
-coordinate-power cache, and only the t-powers a family reads are built.
+Every family, and each component's c-family of a map system, is read by
+one loop (`_read`): the nonzero t^k coefficients of one substituted series,
+tagged with the family, its indices and k.  Substitution is a ring
+homomorphism, so s_{h_ij} = x_i(t) * s_{df/dx_j}: the e-family is read off
+that product of already-substituted series, not substituted afresh.  Every
+component of one build shares one `ArcPowers` coordinate-power cache, and
+only the t-powers a family reads are built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
-from .arcs import ArcPowers, ArcShape
-from .poly import Poly, VarTable
+from .arcs import ArcPowers, ArcShape, IntSeries
+from .poly import Poly
 
 Mode = Literal["BV", "GBV", "AVmap"]
 
@@ -50,6 +53,9 @@ class GeneratorTag:
 
     def label(self) -> str:
         return self.family + "".join(f"[{i}]" for i in self.indices)
+
+
+_Tagged = tuple[GeneratorTag, Poly]
 
 
 @dataclass(frozen=True)
@@ -93,45 +99,17 @@ def build_system(f: Poly, shape: ArcShape, mode: Mode) -> EquationSystem:
     if d <= 0:
         raise SystemError("constant polynomial has no critical-value structure")
     powers = ArcPowers(shape, d)
-    gens: list[Poly] = []
-    tags: list[GeneratorTag] = []
-
     s_f, den_f = powers.series(f, 0)
-    for k in range(1, d * shape.D1 + 1):
-        c = powers.coefficient(s_f, den_f, k)
-        if not c.is_zero():
-            gens.append(c)
-            tags.append(GeneratorTag("c", (k,)))
-
+    read = list(_read(powers, s_f, den_f, range(1, d * shape.D1 + 1), "c"))
     # t-powers down to -D1 feed the e-family's k >= 0 through x_i(t).
     s_grads = [powers.series(f.partial_derivative(j), -shape.D1) for j in range(shape.n)]
     for i, (s, den) in enumerate(s_grads, start=1):
-        for k in range(0, (d - 1) * shape.D1 + 1):
-            c = powers.coefficient(s, den, k)
-            if not c.is_zero():
-                gens.append(c)
-                tags.append(GeneratorTag("d", (i, k)))
-
+        read += _read(powers, s, den, range((d - 1) * shape.D1 + 1), "d", i)
     for i in range(1, shape.n + 1):
-        for j, (s_grad, den) in enumerate(s_grads, start=1):
-            s = powers.times_coordinate(i - 1, s_grad, 0)
-            for k in range(0, d * shape.D1 + 1):
-                c = powers.coefficient(s, den, k)
-                if not c.is_zero():
-                    gens.append(c)
-                    tags.append(GeneratorTag("e", (i, j, k)))
-
-    if mode == "BV":
-        gens.append(normalization_poly(shape))
-        tags.append(GeneratorTag("norm", ()))
-
-    return EquationSystem(
-        shape=shape,
-        generators=tuple(gens),
-        c0=(powers.coefficient(s_f, den_f, 0),),
-        mode=mode,
-        provenance=tuple(tags),
-    )
+        for j, (s, den) in enumerate(s_grads, start=1):
+            s_h = powers.times_coordinate(i - 1, s, 0)
+            read += _read(powers, s_h, den, range(d * shape.D1 + 1), "e", i, j)
+    return _system(shape, read, [powers.coefficient(s_f, den_f, 0)], mode)
 
 
 def build_av_system(F: Sequence[Poly], shape: ArcShape) -> EquationSystem:
@@ -145,25 +123,26 @@ def build_av_system(F: Sequence[Poly], shape: ArcShape) -> EquationSystem:
             raise SystemError("map components must share the shape's arity")
     if shape.D1 < 1:
         raise SystemError("normalized systems need D1 >= 1 (the arc must escape)")
-    gens: list[Poly] = []
-    tags: list[GeneratorTag] = []
-    c0: list[Poly] = []
     powers = ArcPowers(shape, max(max(p.total_degree() for p in F), 0))
+    read, c0 = [], []
     for l, p in enumerate(F, start=1):
         s, den = powers.series(p, 0)
-        for k in range(1, max(p.total_degree(), 0) * shape.D1 + 1):
-            c = powers.coefficient(s, den, k)
-            if not c.is_zero():
-                gens.append(c)
-                tags.append(GeneratorTag("c", (l, k)))
+        read += _read(powers, s, den, range(1, max(p.total_degree(), 0) * shape.D1 + 1), "c", l)
         c0.append(powers.coefficient(s, den, 0))
-    gens.append(normalization_poly(shape))
-    tags.append(GeneratorTag("norm", ()))
-    return EquationSystem(
-        shape=shape,
-        generators=tuple(gens),
-        c0=tuple(c0),
-        mode="AVmap",
-        provenance=tuple(tags),
-    )
+    return _system(shape, read, c0, "AVmap")
 
+
+def _read(powers: ArcPowers, s: IntSeries, den: int, ks: range, family: str, *indices: int) -> Iterator[_Tagged]:
+    """(tag, generator) for each nonzero t^k coefficient of s / den, k in ks."""
+    for k in ks:
+        c = powers.coefficient(s, den, k)
+        if not c.is_zero():
+            yield GeneratorTag(family, (*indices, k)), c
+
+
+def _system(shape: ArcShape, read: list[_Tagged], c0: list[Poly], mode: Mode) -> EquationSystem:
+    """The system of the generators read, plus `norm` in the normalized modes (BV, AVmap)."""
+    if mode != "GBV":
+        read = [*read, (GeneratorTag("norm", ()), normalization_poly(shape))]
+    generators = tuple(g for _, g in read)
+    return EquationSystem(shape, generators, tuple(c0), mode, tuple(tag for tag, _ in read))

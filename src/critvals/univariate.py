@@ -401,9 +401,10 @@ def _unit_floats(coeffs: Sequence[int], den: int) -> np.ndarray:
 def approx_complex_roots(p: Poly) -> list[ComplexRoot]:
     """All deg(p) complex roots with residual certificates.
 
-    Certificate: |q(z)| < 1e-10 * max|coeff| * max(1, |z|)^deg for every
-    z found, where q is p, or p(2^s z) when p's coefficients span too many
-    binades for one float scaling and each returned root is 2^s z.  Raises
+    Certificate: |q(z)| < 1e-10 * max(1, |z|)^deg for every z found, where
+    q is p in float coefficients scaled to largest magnitude 1, or p(2^s z)
+    so scaled when p's coefficients span too many binades for one float
+    scaling, and then each returned root is 2^s z.  Raises
     UnivariateError if polishing cannot reach that bound (does not silently
     return bad roots) or a root lies beyond the float range.
     """
@@ -439,7 +440,6 @@ def approx_complex_roots(p: Poly) -> list[ComplexRoot]:
         return acc
 
     out: list[ComplexRoot] = []
-    norm = float(np.max(np.abs(cf)))
     for z0 in roots:
         z = complex(z0)
         for _ in range(60):
@@ -455,7 +455,7 @@ def approx_complex_roots(p: Poly) -> list[ComplexRoot]:
                 break
             z -= step
         residual = abs(horner(z, desc))
-        bound = 1e-10 * norm * max(1.0, abs(z)) ** deg
+        bound = 1e-10 * max(1.0, abs(z)) ** deg
         if not residual < bound:
             raise UnivariateError(
                 f"root polishing stalled: residual {residual:.3e} at z={z!r} "

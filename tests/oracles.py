@@ -708,7 +708,7 @@ def reference_approx_complex_roots(p: Poly) -> list[ComplexRoot]:
 
 def reference_monomials(system: CompiledSystem, x: np.ndarray) -> np.ndarray:
     """The (..., U) monomial vectors of x (..., n): one `pow` per column and variable."""
-    return np.prod(x[..., None, :] ** system.exponents, axis=-1)
+    return np.prod(x[..., None, :] ** system.powers[system.pair_index], axis=-1)
 
 
 def reference_levenberg_marquardt(

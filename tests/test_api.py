@@ -7,12 +7,12 @@ default test run, so these checks catch a rename or deletion that would
 break it.
 """
 
-import ast
 import importlib
 import importlib.util
 import re
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -56,21 +56,6 @@ def test_workloads_use_only_listed_names():
     assert used <= set(WORKLOAD_NAMES)
 
 
-def test_traced_functions_exist():
-    # TRACED in perfbench/spans.py maps (module, function) to a span name
-    tree = ast.parse((PERFBENCH / "spans.py").read_text())
-    traced = next(
-        node.value
-        for node in tree.body
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TRACED"
-    )
-    pairs = [ast.literal_eval(key) for key in traced.keys]
-    assert pairs
-    for module, name in pairs:
-        assert callable(_resolve(module, name)), f"{module}.{name}"
-    assert callable(critvals.report.CriticalValueReport.to_json)
-
-
 def test_substitute_result_exposes_coeffs():
     # the benchmark's arcs.series_terms counter sums num_terms() over the
     # values of substitute(...).coeffs
@@ -87,6 +72,23 @@ def _perfbench_module(name: str):
     sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+def test_traced_functions_exist():
+    # the tracer wraps each (module, function) of TRACED in the modules of
+    # MODULES; a missing name would break only the benchmark's traced run
+    spans = _perfbench_module("spans")
+    traced = {(module, name): _resolve(module, name) for module, name in spans.TRACED}
+    assert traced and all(map(callable, traced.values()))
+    assert all(isinstance(getattr(critvals, module), ModuleType) for module in spans.MODULES)
+    restore = spans.Tracer().install(critvals)
+    try:
+        wrapped = [pair for pair, fn in traced.items() if _resolve(*pair) is not fn]
+    finally:
+        restore()
+    assert wrapped == list(traced)
+    assert all(_resolve(*pair) is fn for pair, fn in traced.items())
+    assert callable(critvals.report.CriticalValueReport.to_json)
 
 
 def test_tracer_counts_buchberger():

@@ -204,7 +204,7 @@ class TestCompiledSystem:
             table = polys[0].vars
             twins = [Poly(table, dict(reversed(t.items())), d) for t, d in map(Poly.integer_terms, polys)]
             ours, theirs = CompiledSystem(polys), CompiledSystem(twins)
-            for name in ("exponents", "value_coeffs", "jacobian_coeffs"):
+            for name in ("bases", "powers", "pair_index", "value_coeffs", "jacobian_coeffs"):
                 a, b = getattr(ours, name), getattr(theirs, name)
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 

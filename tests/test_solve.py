@@ -10,6 +10,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import critvals.presolve
 import critvals.solve
 from critvals.arcs import ArcShape
 from critvals.groebner import LimitExceeded, ResourceLimits
@@ -394,6 +395,26 @@ class TestPresolve:
             critvals.solve._image_of_c0(system, ResourceLimits(wall_clock_budget=0.5))
         assert str(err.value) == "wall_clock_budget: exceeded 0.5s"
         assert 0.5 < time.monotonic() - entered < 1.5
+
+    def test_each_generator_is_factored_once_per_round(self, monkeypatch):
+        # x^alpha*h is read once per nonzero generator a round prunes; the
+        # rewrites and the split reuse it
+        received, factored = [], []
+        prune, content = critvals.presolve._prune, critvals.presolve._monomial_content
+
+        def counted_prune(gens):
+            received.append(sum(1 for g in gens if g))
+            return prune(gens)
+
+        def counted_content(p):
+            factored.append(1)
+            return content(p)
+
+        monkeypatch.setattr(critvals.presolve, "_prune", counted_prune)
+        monkeypatch.setattr(critvals.presolve, "_monomial_content", counted_content)
+        system = build_system(P("x + x^2*y"), ArcShape(n=2, D1=3, D2=7), "BV")
+        presolve(system.generators, system.c0[0])
+        assert len(received) > 1 and len(factored) == sum(received)
 
     def test_deadline_covers_the_presolve(self):
         with pytest.raises(LimitExceeded) as err:

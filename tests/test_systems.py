@@ -3,17 +3,20 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from critvals.arcs import ArcShape, substitute
 from critvals.poly import Poly, VarTable, parse_poly
 from critvals.systems import (
+    GeneratorTag,
     SystemError,
     build_av_system,
     build_system,
     normalization_poly,
 )
+
+from oracles import reference_substitute
 
 XY = VarTable(("x", "y"))
 X = VarTable(("x",))
@@ -202,3 +205,55 @@ def test_generator_values_match_direct_expansion(raw, D2, D1):
         if tag.family == "c":
             k = tag.indices[0]
             assert g.eval_exact(a) == direct.coefficient((k + d * shape.D2,))
+
+
+# ---- every family against the Poly-level reference, in build order ----
+
+bidegree_two = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2)),
+    small_fractions.filter(bool),
+    max_size=5,
+)
+
+
+def reference_family(p, shape, ks, family, *indices):
+    """(tag, t^k coefficient of p(x(t))) for each nonzero one with k in ks,
+    read off `reference_substitute`."""
+    series = reference_substitute(p, shape)
+    return [(GeneratorTag(family, (*indices, k)), series[k]) for k in ks if k in series]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    bidegree_two,
+    bidegree_two,
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=0, max_value=2),
+    st.sampled_from(["complex", "real"]),
+)
+def test_every_family_matches_the_reference_in_order(f_terms, g_terms, D1, D2, field):
+    f, g = Poly(XY, f_terms), Poly(XY, g_terms)
+    assume(f.total_degree() > 0)
+    shape = ArcShape(n=2, D1=D1, D2=D2, field=field)
+    table = shape.var_table()
+    d = f.total_degree()
+    grads = [f.partial_derivative(j) for j in range(2)]
+    expected = reference_family(f, shape, range(1, d * D1 + 1), "c")
+    for i, grad in enumerate(grads, start=1):
+        expected += reference_family(grad, shape, range(0, (d - 1) * D1 + 1), "d", i)
+    for i in range(1, 3):
+        for j, grad in enumerate(grads, start=1):
+            expected += reference_family(Poly.variable(XY, i - 1) * grad, shape, range(0, d * D1 + 1), "e", i, j)
+    norm = [(GeneratorTag("norm", ()), normalization_poly(shape))]
+    c0 = (reference_substitute(f, shape).get(0, Poly.zero(table)),)
+    for mode, tail in (("BV", norm), ("GBV", [])):
+        system = build_system(f, shape, mode)
+        assert list(zip(system.provenance, system.generators)) == expected + tail
+        assert system.c0 == c0 and system.mode == mode
+
+    av = build_av_system([f, g], shape)
+    expected = []
+    for l, p in enumerate((f, g), start=1):
+        expected += reference_family(p, shape, range(1, max(p.total_degree(), 0) * D1 + 1), "c", l)
+    assert list(zip(av.provenance, av.generators)) == expected + norm
+    assert av.c0 == tuple(reference_substitute(p, shape).get(0, Poly.zero(table)) for p in (f, g))
