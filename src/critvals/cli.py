@@ -368,11 +368,12 @@ def main(argv: list[str] | None = None) -> int:
         report = run(cfg, args.input)
     except Exception as e:  # noqa: BLE001 - every failure maps to an exit code
         code = _exit_code(e)
+        message = str(e) or type(e).__name__  # MemoryError() carries no message
         if args.json:
-            payload = {"error": {"code": code, "type": type(e).__name__, "message": str(e)}}
+            payload = {"error": {"code": code, "type": type(e).__name__, "message": message}}
             print(json.dumps(payload, sort_keys=True, indent=2))
         else:
-            print(f"error: {e}", file=sys.stderr)
+            print(f"error: {message}", file=sys.stderr)
         return code
     body = report.to_json() + "\n" if args.json else report.to_text()
     sys.stdout.write(body)

@@ -20,6 +20,8 @@ the result's `system`, the system a real run certifies against and
 
 Kinf and K first presolve their arc system into branches (see `presolve`)
 and eliminate each; only the variety matters for a squarefree eliminant.
+A branch whose c0 is a constant already in the value set found so far
+cannot change it and is not eliminated.
 K0 has no arc structure to presolve, and S_F reports its ideal, not its
 radical, so neither is presolved.
 
@@ -93,10 +95,12 @@ class Diagnostics:
 
     For K0 with a finite critical locus no system is eliminated: the counts
     are n, the number of nonzero partials and the size of their grevlex
-    basis.  For a presolved Kinf/K system: variable_count is the largest
-    arity of an eliminated branch, generator_count and basis_size are
-    summed over the branches, and all three are 0 when no branch reaches
-    Buchberger."""
+    basis.  For a presolved Kinf/K system the counts cover only the
+    branches that reached Buchberger: variable_count is the largest arity
+    of an eliminated branch, generator_count and basis_size are summed over
+    them, and all three are 0 when none did.  A branch without generators,
+    or one whose c0 is a constant value already in the set, is not
+    eliminated."""
 
     variable_count: int
     generator_count: int
@@ -273,13 +277,24 @@ def _image_of_c0(system: EquationSystem, limits: ResourceLimits | None) -> Univa
     each, and take the squarefree part of the product of their eliminants.
     The result carries `system`.
 
+    The value set is the union of the branch images, so a branch whose c0
+    is a constant v adds v or nothing: its factor is y - v or 1.  Branches
+    are visited cheapest first, by arity with a stable sort (a branch
+    without generators uses no variables), and a branch with a constant c0
+    whose value is already a root of the product is not eliminated: its
+    factor would leave the squarefree part as it is.  The diagnostics count
+    only the branches that reached Buchberger.
+
     One wall-clock budget covers the presolve and every branch's Buchberger
     run; a trip says `wall_clock_budget: exceeded {budget}s` wherever it
     happens."""
     product = Poly.const(Y_TABLE, 1)
     widest = generator_count = basis_size = 0
     with _one_budget(limits) as left:
-        for generators, c0 in presolve(system.generators, system.c0[0], left):
+        branches = presolve(system.generators, system.c0[0], left)
+        for generators, c0 in sorted(branches, key=lambda branch: branch[1].vars.arity):
+            if c0.is_constant() and product.eval_exact((c0.constant_value(),)) == 0:
+                continue
             if not generators:
                 if not c0.is_constant():
                     raise InternalInvariantError(

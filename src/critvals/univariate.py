@@ -19,7 +19,8 @@ Horner.  Once an interval holds one root, isolation reads the sign of p
 alone.  Bisection keeps endpoints as integer numerators over a denominator
 that doubles with every step; only returned endpoints become (reduced)
 Fractions.  Complex approximation is the one numeric step:
-eigenvalue-based initial guesses polished by Newton iteration, each
+eigenvalue-based initial guesses polished by up to 60 Newton steps,
+stopped early once an iterate repeats (the same z as the 60th step), each
 accepted only with an explicit residual certificate
 |p(z)| < 1e-10 * ||p|| * max(1, |z|)^deg.  Where the coefficients span
 too many binades for the guesses to be found, they are found for
@@ -398,6 +399,41 @@ def _unit_floats(coeffs: Sequence[int], den: int) -> np.ndarray:
     return cf
 
 
+def _horner(z: complex, c: list[float]) -> complex:
+    acc = 0j
+    for v in c:
+        acc = acc * z + v
+    return acc
+
+
+def _newton(z: complex, desc: list[float], ddesc: list[float]) -> complex:
+    """z after 60 Newton steps on the descending coefficients desc, whose
+    derivative is ddesc, or after fewer where a step is exactly 0 or below
+    rounding.  A step depends on z alone, so once an iterate repeats the
+    rest is a cycle: the loop stops there and returns the cycle member the
+    60th step would reach, bitwise.  The key tells -0.0 from 0.0; a NaN
+    never equals itself, so it never repeats."""
+    seen: dict[tuple[complex, float, float], int] = {}
+    path: list[complex] = []
+    for k in range(60):
+        j = seen.setdefault((z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag)), k)
+        if j < k:
+            return path[j + (60 - j) % (k - j)]
+        path.append(z)
+        fz = _horner(z, desc)
+        if fz == 0:
+            break
+        dz = _horner(z, ddesc)
+        if dz == 0:
+            z += 1e-12 * (1 + abs(z))
+            continue
+        step = fz / dz
+        if abs(step) < 1e-17 * max(1.0, abs(z)):
+            break
+        z -= step
+    return z
+
+
 def approx_complex_roots(p: Poly) -> list[ComplexRoot]:
     """All deg(p) complex roots with residual certificates.
 
@@ -432,29 +468,10 @@ def approx_complex_roots(p: Poly) -> list[ComplexRoot]:
             raise UnivariateError(lost)
     # descending Python floats: the IEEE operations numpy scalars would do, faster
     desc, ddesc = cf[::-1].tolist(), (cf[1:] * np.arange(1, deg + 1))[::-1].tolist()
-
-    def horner(z: complex, c: list[float]) -> complex:
-        acc = 0j
-        for v in c:
-            acc = acc * z + v
-        return acc
-
     out: list[ComplexRoot] = []
     for z0 in roots:
-        z = complex(z0)
-        for _ in range(60):
-            fz = horner(z, desc)
-            if fz == 0:
-                break
-            dz = horner(z, ddesc)
-            if dz == 0:
-                z += 1e-12 * (1 + abs(z))
-                continue
-            step = fz / dz
-            if abs(step) < 1e-17 * max(1.0, abs(z)):
-                break
-            z -= step
-        residual = abs(horner(z, desc))
+        z = _newton(complex(z0), desc, ddesc)
+        residual = abs(_horner(z, desc))
         bound = 1e-10 * max(1.0, abs(z)) ** deg
         if not residual < bound:
             raise UnivariateError(

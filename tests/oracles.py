@@ -23,12 +23,19 @@ Presolve: `reference_presolve` is the package's earlier presolve on
 Fraction term dicts, the reference for the integer, fraction-free rewrites
 in `critvals.presolve`.
 
+Value sets of arc systems: `reference_image_of_c0` eliminates every
+presolved branch and multiplies the eliminants, the reference for
+`critvals.solve._image_of_c0`, which skips a branch whose constant c0 is
+already a root of the product.
+
 Univariate kernel: `reference_squarefree_part`, `reference_isolate_real_roots`
 and `reference_refine_interval` are the package's earlier Fraction-arithmetic
 squarefree part, Sturm isolation and bisection refinement, the reference for
 the integer kernel in `critvals.univariate`.  `reference_approx_complex_roots`
 is the earlier complex root polishing over numpy scalars, the bitwise
-reference for `approx_complex_roots` on Python floats.  They read and
+reference for `approx_complex_roots` on Python floats, and
+`reference_newton` is its polishing loop run to the 60th step, the bitwise
+reference for the early cycle stop in `univariate._newton`.  They read and
 build polynomials as ascending Fraction lists (`to_coefficients`,
 `from_coefficients`); the package keeps integer lists only.
 
@@ -68,7 +75,10 @@ from critvals.groebner import (
     _Run,
 )
 from critvals.poly import Exponent, Poly, VarTable, _product
-from critvals.univariate import ComplexRoot, RootInterval, UnivariateError
+from critvals.presolve import presolve
+from critvals.solve import Y_TABLE, _eliminant
+from critvals.systems import EquationSystem
+from critvals.univariate import ComplexRoot, RootInterval, UnivariateError, squarefree_part
 
 
 def to_coefficients(p: Poly) -> list[Fraction]:
@@ -252,6 +262,22 @@ def substitution_product(p: Poly, q: Poly, shape: ArcShape) -> dict[int, Poly]:
     product = series_product(sp, sq)
     coeffs = ((k, powers.coefficient(product, den_p * den_q, k)) for k in product)
     return {k: c for k, c in coeffs if not c.is_zero()}
+
+
+# ---- arc-system value sets: every presolved branch eliminated ----
+
+
+def reference_image_of_c0(system: EquationSystem) -> Poly:
+    """The squarefree eliminant of the c0-image of the system's variety,
+    from the product of every presolved branch's eliminant; 1 when empty."""
+    product = Poly.const(Y_TABLE, 1)
+    for generators, c0 in presolve(system.generators, system.c0[0]):
+        if generators:
+            factor, _ = _eliminant(generators, c0, None)
+        else:
+            factor = Poly.variable(Y_TABLE, 0) - Poly.const(Y_TABLE, c0.constant_value())
+        product = product * factor
+    return Poly.const(Y_TABLE, 1) if product.is_constant() else squarefree_part(product)
 
 
 # ---- presolve reference: Fraction term dicts throughout ----
@@ -701,6 +727,31 @@ def reference_approx_complex_roots(p: Poly) -> list[ComplexRoot]:
         out.append(ComplexRoot(float(z.real), float(z.imag), float(residual)))
     out.sort(key=lambda r: (r.re, r.im))
     return out
+
+
+def reference_newton(z: complex, desc: list[float], ddesc: list[float]) -> complex:
+    """Newton polishing run to its 60th step: the bitwise reference for
+    `univariate._newton`, which stops at the first repeated iterate."""
+
+    def horner(z: complex, c: list[float]) -> complex:
+        acc = 0j
+        for v in c:
+            acc = acc * z + v
+        return acc
+
+    for _ in range(60):
+        fz = horner(z, desc)
+        if fz == 0:
+            break
+        dz = horner(z, ddesc)
+        if dz == 0:
+            z += 1e-12 * (1 + abs(z))
+            continue
+        step = fz / dz
+        if abs(step) < 1e-17 * max(1.0, abs(z)):
+            break
+        z -= step
+    return z
 
 
 # ---- one-start certifier ----

@@ -197,6 +197,17 @@ class TestExitCodes:
         assert code == 4
         assert doc["error"]["type"] == "InternalInvariantError"
 
+    def test_error_without_a_message_prints_its_type(self, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "compute_k0", out_of_memory)
+        code, out, err = run_main(capsys, "x^3 - 3*x", "--set", "k0")
+        assert code == 4 and out == "" and err == "error: MemoryError\n"
+        code, doc = run_json(capsys, "x^3 - 3*x", "--set", "k0")
+        assert code == 4
+        assert doc["error"] == {"code": 4, "type": "MemoryError", "message": "MemoryError"}
+
     def test_complete_complex_run_checks_k_is_k0_union_kinf(self, capsys):
         # Broughton after X = x + y, Y = y has K = Kinf = {0}; the sum
         # normalization loses its escaping arcs, so Kinf comes out empty

@@ -31,12 +31,13 @@ from critvals.solve import (
     compute_sF,
     heuristic_shape,
 )
-from critvals.systems import EquationSystem, build_av_system, build_system
+from critvals.systems import EquationSystem, GeneratorTag, build_av_system, build_system
 from critvals.univariate import squarefree_part
 
-from oracles import k0_univariate_oracle, package_coeffs, reference_presolve
+from oracles import k0_univariate_oracle, package_coeffs, reference_image_of_c0, reference_presolve
 
 XY = VarTable(("x", "y"))
+XYZ = VarTable(("x", "y", "z"))
 X = VarTable(("x",))
 # the dense degree-5 golden input; its K0 eliminant has degree 16
 DENSE5 = (
@@ -474,6 +475,74 @@ def test_equal_c0_over_different_denominators_is_kept_once():
     # the branch b = 0 ends with c0 = 0 at once; the other pivots on 2*b, so
     # its c0 reaches 0 over the denominator 2: one lowest-terms form for both
     assert branches(["-3*a*b - 2*b^2 - a*c", "a*b", "-2*b*d - 2*c"], "-2*a*b") == [((), [], "0")]
+
+
+# (f, table, mode, (D1, D2)): presolve leaves branches whose c0 is a constant
+SKIP_CASES = [
+    ("x + x^2*y", XY, "BV", (1, 1)),
+    ("x + x^2*y", XY, "BV", (2, 3)),
+    ("x + x^2*y", XY, "BV", (3, 2)),
+    ("x + x^2*y", XY, "BV", (3, 7)),
+    ("x + x^2*y", XY, "GBV", (2, 1)),
+    ("x + x^2*y", XY, "GBV", (3, 7)),
+    ("y*(x*y-1)", XY, "BV", (3, 7)),
+    ("y*(x*y-1)", XY, "GBV", (3, 7)),
+    ("x + x^2*y + z^2", XYZ, "BV", (3, 7)),
+    ("3*x^3 + 3*x^2*y + 2*x*y^2 - 2*x - 2", XY, "GBV", (1, 2)),
+]
+
+
+def counted_buchberger(monkeypatch) -> list:
+    """The ideals solve hands to Buchberger from now on."""
+    calls, real = [], critvals.solve.buchberger
+
+    def counted(ideal, limits=None):
+        calls.append(ideal)
+        return real(ideal, limits)
+
+    monkeypatch.setattr(critvals.solve, "buchberger", counted)
+    return calls
+
+
+class TestBranchSkip:
+    @pytest.mark.parametrize(
+        "text, table, mode, bounds", SKIP_CASES, ids=[f"{c[0]}-{c[2]}-{c[3]}" for c in SKIP_CASES]
+    )
+    def test_skip_keeps_the_eliminant_of_every_branch(self, text, table, mode, bounds):
+        shape = ArcShape(n=table.arity, D1=bounds[0], D2=bounds[1])
+        system = build_system(P(text, table), shape, mode)
+        assert critvals.solve._image_of_c0(system, None).eliminant == reference_image_of_c0(system)
+
+    def test_default_shape_broughton_kinf_runs_no_buchberger(self, monkeypatch):
+        # a generator-free branch gives y; the two others have c0 = 0
+        calls = counted_buchberger(monkeypatch)
+        f = P("x + x^2*y")
+        res = compute_kinf(f, heuristic_shape(f))
+        assert res.eliminant == parse_poly("y", Y_TABLE)
+        assert calls == [] and res.diagnostics == Diagnostics(0, 0, 0)
+
+    def test_root_of_a_nonconstant_branch_skips_a_constant_branch(self, monkeypatch):
+        # over (a, b, c, d): d*(a - 1) splits into d = 0, whose c0 = a has
+        # eliminant y^2 - 1, and a := 1, whose c0 is the constant 1.  Both
+        # use two variables, so the d = 0 branch is visited first
+        shape = ArcShape(n=2, D1=1, D2=0)
+        table = shape.var_table()
+
+        def over_shape(text):
+            return Poly(table, dict(P(text, ABCD).terms()))
+
+        gens = tuple(map(over_shape, ["a*d - d", "a^2 - 1", "b^2 + d^2 - 2"]))
+        tags = tuple(GeneratorTag("c", (k,)) for k in range(3))
+        system = EquationSystem(shape, gens, (over_shape("a"),), "GBV", tags)
+        assert [(len(g), c0.vars.arity, c0.is_constant()) for g, c0 in presolve(gens, system.c0[0])] == [
+            (2, 2, False),
+            (1, 2, True),
+        ]
+        expected = reference_image_of_c0(system)
+        calls = counted_buchberger(monkeypatch)
+        res = critvals.solve._image_of_c0(system, None)
+        assert res.eliminant == parse_poly("y^2 - 1", Y_TABLE) == expected
+        assert len(calls) == 1 and res.diagnostics == Diagnostics(3, 3, 3)
 
 
 class TestHeuristicShape:

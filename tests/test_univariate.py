@@ -5,7 +5,9 @@ import math
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from critvals.univariate import (
 from oracles import (
     reference_approx_complex_roots,
     reference_isolate_real_roots,
+    reference_newton,
     reference_refine_interval,
     reference_squarefree_part,
     to_coefficients,
@@ -276,6 +279,75 @@ def test_complex_roots_match_numpy_scalar_reference(p):
             approx_complex_roots(sf)
         return
     assert approx_complex_roots(sf) == want
+
+
+# ---- Newton polishing: the cycle stop against the 60-step loop ----
+
+
+def float_bits(z: complex) -> tuple[str, str]:
+    """z's real and imaginary parts as hex: -0.0 and 0.0 differ."""
+    return z.real.hex(), z.imag.hex()
+
+
+def polishing_lists(coeffs: list[int]) -> tuple[list[float], list[float], np.ndarray]:
+    """(desc, ddesc, guesses): the float lists approx_complex_roots polishes
+    on, for an ascending integer list, and np.roots' starting points."""
+    cf = univariate._unit_floats(coeffs, 1)
+    deg = len(coeffs) - 1
+    desc, ddesc = cf[::-1].tolist(), (cf[1:] * np.arange(1, deg + 1))[::-1].tolist()
+    return desc, ddesc, np.roots(cf[::-1])
+
+
+def test_newton_stops_at_its_first_cycle(monkeypatch):
+    # polishing the real root of 2y^5 + 6y^4 - 6y^3 - y^2 - 7y + 9 never
+    # meets the stop test, and its iterates fall into a cycle within a few
+    # steps: the loop ends there, on the z of the 60-step loop
+    desc, ddesc, guesses = polishing_lists([9, -7, -1, -6, 6, 2])
+    z0 = complex(min(guesses, key=lambda z: abs(z.imag)))
+    calls = []
+    horner = univariate._horner
+    monkeypatch.setattr(univariate, "_horner", lambda z, c: calls.append(1) or horner(z, c))
+    z = univariate._newton(z0, desc, ddesc)
+    assert len(calls) < 20
+    assert float_bits(z) == float_bits(reference_newton(z0, desc, ddesc))
+    fz, dz = horner(z, desc), horner(z, ddesc)
+    assert fz != 0 and abs(fz / dz) >= 1e-17 * max(1.0, abs(z))
+
+
+signed_floats = st.one_of(st.floats(-4, 4), st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(-9, 9), min_size=2, max_size=12).filter(lambda c: c[-1]),
+    st.one_of(st.integers(0, 11), st.builds(complex, signed_floats, signed_floats)),
+)
+# (y^2 + 3)(y^2 + 27) from -0.0 + 3*sqrt(3)i: the iterates repeat up to the
+# sign of a zero real part, which a key without the signs mistakes for a cycle
+@example([81, 0, 30, 0, 1], complex(-0.0, 5.196152422706631))
+def test_newton_is_bitwise_the_60_step_loop(coeffs, start):
+    # start: one of np.roots' guesses, or any z, signed zeros included
+    desc, ddesc, guesses = polishing_lists(coeffs)
+    z0 = complex(guesses[start % len(guesses)]) if isinstance(start, int) else start
+    assert float_bits(univariate._newton(z0, desc, ddesc)) == float_bits(reference_newton(z0, desc, ddesc))
+
+
+@settings(max_examples=30, deadline=None)
+@given(kernel_inputs())
+def test_complex_roots_are_bitwise_those_of_the_60_step_loop(p):
+    sf = squarefree_part(p)
+    try:
+        with mock.patch.object(univariate, "_newton", reference_newton):
+            want = approx_complex_roots(sf)
+    except UnivariateError:
+        with pytest.raises(UnivariateError):
+            approx_complex_roots(sf)
+        return
+
+    def bits(roots):
+        return [(*float_bits(complex(r.re, r.im)), r.residual.hex()) for r in roots]
+
+    assert bits(approx_complex_roots(sf)) == bits(want)
 
 
 # ---- the floating-point sign filter against exact rational signs ----
