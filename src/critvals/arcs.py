@@ -10,9 +10,13 @@ system downstream.
 There is one substitution path, the integer kernel `ArcPowers`: it reads
 p's integer numerators, multiplies and accumulates the coordinate powers
 x_j(t)^e as integer series over packed monomials, and turns a t^k
-coefficient into a `Poly` only when it is read.  One `ArcPowers` serves
-every substitution of a build, so each coordinate power is multiplied out
-once per system.  `substitute` runs one polynomial through a fresh kernel.
+coefficient into a `Poly` only when it is read.  A power is built only
+down to the lowest t-power the product it enters keeps, and multiplying by
+a coordinate x_j(t), whose terms all have coefficient 1, only shifts
+monomials.  One `ArcPowers` serves every substitution of a build, so each
+truncation of a coordinate power is multiplied out once per build, and
+each packed monomial is unpacked once.  `substitute` runs one polynomial
+through a fresh kernel.
 The Poly-level reference the kernel is checked against lives with the
 tests (tests/oracles.py), not here.
 
@@ -26,7 +30,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal
+from operator import methodcaller
+from typing import Callable, Literal
 
 from .poly import Poly, VarTable
 
@@ -147,6 +152,8 @@ class LaurentSeriesOverPoly:
 
 # t-exponent k -> packed monomial -> integer coefficient (see ArcPowers).
 IntSeries = dict[int, dict[int, int]]
+# x_j(t) as (i, packed a[i][j]) by descending i: one unit term per t-power.
+Coordinate = tuple[tuple[int, int], ...]
 
 
 def _mul_into(out: IntSeries, a: IntSeries, b: IntSeries, lo: int) -> IntSeries:
@@ -166,6 +173,26 @@ def _mul_into(out: IntSeries, a: IntSeries, b: IntSeries, lo: int) -> IntSeries:
     return out
 
 
+def _shift(s: IntSeries, x: Coordinate, lo: int) -> IntSeries:
+    """x(t) * s, keeping only the t^k with k >= lo: every term of x has
+    coefficient 1, so the product only adds its monomial to each term."""
+    out: IntSeries = {}
+    for ks, ts in s.items():
+        for i, a in x:
+            k = ks + i
+            if k < lo:
+                break
+            acc = out.get(k)
+            if acc is None:
+                out[k] = {m + a: c for m, c in ts.items()}
+                continue
+            get = acc.get
+            for m, c in ts.items():
+                m += a
+                acc[m] = get(m, 0) + c
+    return out
+
+
 class ArcPowers:
     """Integer series of the coordinate powers x_j(t)^e of one shape.
 
@@ -174,7 +201,12 @@ class ArcPowers:
     bytes [v*w, (v+1)*w) (little-endian), so multiplying monomials is adding
     ints.  The width w is the smallest of 1, 2, 4, 8 bytes that holds
     `degree`, which must bound the total degree of every series built here.
-    Each power is computed once and kept for the life of the instance.
+
+    A power is built only down to the lowest t-power a product keeps: x^e
+    over k >= floor is x^(e-1) over k >= floor - D1, times x(t).  One
+    instance serves one build, so each truncation is computed once per
+    build and kept for the life of the instance, and so is each packed
+    monomial's exponent tuple.
     """
 
     def __init__(self, shape: ArcShape, degree: int):
@@ -185,54 +217,68 @@ class ArcPowers:
             raise ArcError(f"degree {degree} too large for packed monomials")
         self.shape = shape
         self.table = shape.var_table()
+        self._iter_unpack = struct.Struct(f"<{self.table.arity}{code}").iter_unpack
         self._nbytes = width * self.table.arity
-        self._unpack = struct.Struct(f"<{self.table.arity}{code}").unpack
-        one: IntSeries = {0: {0: 1}}
-        self._powers: list[list[IntSeries]] = [
-            [
-                one,
-                {
-                    i: {1 << (8 * width * shape.var_index(i, j)): 1}
-                    for i in shape.exponent_range()
-                },
-            ]
+        self._monos: dict[int, tuple[int, ...]] = {}  # packed monomial -> exponent tuple
+        self._coordinates: list[Coordinate] = [
+            tuple((i, 1 << (8 * width * shape.var_index(i, j))) for i in shape.exponent_range())
             for j in range(1, shape.n + 1)
         ]
+        # (j, e) -> (floor, x_{j+1}(t)^e over k >= floor), the deepest built
+        self._powers: dict[tuple[int, int], tuple[int, IntSeries]] = {
+            (j, 0): (0, {0: {0: 1}}) for j in range(shape.n)
+        }
 
-    def power(self, j: int, e: int) -> IntSeries:
-        """x_{j+1}(t)^e (coordinates indexed from 0, like p's exponents)."""
-        cache = self._powers[j]
-        while len(cache) <= e:
-            full = -len(cache) * self.shape.D2  # lowest t-power of the new power
-            cache.append(_mul_into({}, cache[-1], cache[1], full))
-        return cache[e]
+    def power(self, j: int, e: int, floor: int) -> IntSeries:
+        """x_{j+1}(t)^e over at least the t^k with k >= floor (coordinates
+        indexed from 0, like p's exponents).  A truncation is built only
+        when no memoised one reaches down to floor."""
+        D1, D2, missing = self.shape.D1, self.shape.D2, []
+        while True:
+            floor = max(floor, -e * D2)  # x^e has no lower t-power
+            built = self._powers.get((j, e))
+            if built is not None and built[0] <= floor:
+                break
+            missing.append((e, floor))
+            e, floor = e - 1, floor - D1
+        s = built[1]
+        for e, floor in reversed(missing):
+            s = _shift(s, self._coordinates[j], floor)
+            self._powers[j, e] = floor, s
+        return s
 
-    def series(self, p: Poly, lo: int) -> tuple[IntSeries, int]:
+    def series(self, p: Poly, lo: int, tick: Callable[[], object] = lambda: None) -> tuple[IntSeries, int]:
         """(den * p(x(t)), den) over the t^k with k >= lo, where den is the
-        lcm of p's coefficient denominators."""
+        lcm of p's coefficient denominators.  `tick` is called once per term
+        of p, before it is substituted."""
         if p.vars.arity != self.shape.n:
             raise ArcError(f"polynomial arity {p.vars.arity} does not match shape n={self.shape.n}")
         terms, den = p.integer_terms()
         D1 = self.shape.D1
-        last = self.shape.n - 1
         out: IntSeries = {}
         for mono, coeff in terms.items():
+            tick()
+            factors = [(j, e) for j, e in enumerate(mono) if e] or [(0, 0)]
             acc: IntSeries = {0: {0: coeff}}
-            reach = sum(mono) * D1  # highest t-power the factors still to come add
-            for j, e in enumerate(mono):
-                reach -= e * D1
-                acc = _mul_into(out if j == last else {}, acc, self.power(j, e), lo - reach)
+            degree = reach = sum(mono)  # reach: total degree of the factors still to come
+            for j, e in factors:
+                reach -= e
+                # a factor's t-powers below this floor meet no kept product term
+                factor = self.power(j, e, lo - D1 * (degree - e))
+                acc = _mul_into(out if j == factors[-1][0] else {}, acc, factor, lo - D1 * reach)
         return out, den
 
     def times_coordinate(self, j: int, s: IntSeries, lo: int) -> IntSeries:
         """x_{j+1}(t) * s over the t^k with k >= lo."""
-        return _mul_into({}, s, self._powers[j][1], lo)
+        return _shift(s, self._coordinates[j], lo)
 
     def coefficient(self, s: IntSeries, den: int, k: int) -> Poly:
         """The t^k coefficient of s / den as a Poly over the shape's table."""
-        unpack, nbytes = self._unpack, self._nbytes
-        terms = {unpack(m.to_bytes(nbytes, "little")): c for m, c in s.get(k, {}).items()}
-        return Poly(self.table, terms, den)
+        terms, monos, nbytes = s.get(k, {}), self._monos, self._nbytes
+        new = set(terms).difference(monos)
+        if new:
+            monos.update(zip(new, self._iter_unpack(b"".join(map(methodcaller("to_bytes", nbytes, "little"), new)))))
+        return Poly._from_kernel(self.table, {monos[m]: c for m, c in terms.items()}, den)
 
 
 def substitute(p: Poly, shape: ArcShape) -> LaurentSeriesOverPoly:

@@ -28,7 +28,7 @@ leading exponents and a support bitmask, and the reducer scan skips an entry
 by mask before it compares exponents.  Top reduction and full normal form
 share the same step; both check the clock every 32 steps.  Full normal form
 also tracks the positive rational factor its steps and content stripping
-scale the result by, so `normal_form` is exact and the Krylov sequence of
+scale the result by, so a normal form is exact and the Krylov sequence of
 `minimal_polynomial` (v_k = NF(p * v_(k-1)), combined from memoised
 multiplication-matrix columns as in FGLM: Faugere, Gianni, Lazard, Mora,
 JSC 1993) stays on integer dicts.
@@ -209,7 +209,7 @@ def _encode_poly(p: Poly, order: _Order) -> tuple[dict[Mono, int], Fraction]:
 
 
 def _to_poly(f: dict[Mono, int], vars: VarTable, order: _Order) -> Poly:
-    return Poly(vars, {order.decode(m): c for m, c in f.items()})
+    return Poly._from_kernel(vars, {order.decode(m): c for m, c in f.items()})
 
 
 class _Entry:
@@ -490,19 +490,6 @@ def _reducers(gb: GroebnerBasis, run: _Run) -> list[_Entry]:
         f, _ = _encode_poly(g, run.order)
         out.append(_Entry(f, max(f), run, 0))
     return out
-
-
-def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
-    """Normal form of p modulo the basis, exactly: the remainder of full
-    reduction, zero iff p is in the ideal."""
-    if p.is_zero():
-        return p
-    order = _order(p.vars.arity, gb.eliminate)
-    run = _Run(order, ResourceLimits())
-    work, scale = _encode_poly(p, order)
-    nf, s = run.normal_form(work, _reducers(gb, run))
-    scale *= s
-    return Poly(p.vars, {order.decode(m): c * scale.denominator for m, c in nf.items()}, scale.numerator)
 
 
 def minimal_polynomial(

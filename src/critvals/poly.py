@@ -89,9 +89,11 @@ class Poly:
             scale = math.lcm(*(Fraction(c).denominator for c in clean.values()))
             clean = {m: int(Fraction(c) * scale) for m, c in clean.items()}
             den *= scale
-        clean, den = _lowest_terms(clean, den)
+        self._store(vars, *_lowest_terms(clean, den))
+
+    def _store(self, vars: VarTable, terms: Terms, den: int) -> None:
         object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_hash", None)
 
@@ -99,6 +101,20 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     # ---- constructors ----
+
+    @classmethod
+    def _from_kernel(cls, vars: VarTable, terms: Terms, den: int = 1) -> "Poly":
+        """terms / den for integer terms a package kernel built over `vars`,
+        with den > 0: zero coefficients dropped, reduced to lowest terms.
+        The Poly may keep `terms` itself, so the caller hands it over.
+        Skips the checks only untrusted input needs (exponent length and
+        sign, rational coefficients); parsed or user-built terms go through
+        `Poly(...)`."""
+        p = object.__new__(cls)
+        if not all(terms.values()):
+            terms = {m: c for m, c in terms.items() if c}
+        p._store(vars, *_lowest_terms(terms, den))
+        return p
 
     @classmethod
     def zero(cls, vars: VarTable) -> "Poly":
@@ -171,17 +187,17 @@ class Poly:
         out = {m: c * a for m, c in self._terms.items()}
         for m, c in other._terms.items():
             out[m] = out.get(m, 0) + c * b
-        return Poly(self.vars, out, self._den * a)
+        return Poly._from_kernel(self.vars, out, self._den * a)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.vars, {m: -c for m, c in self._terms.items()}, self._den)
+        return Poly._from_kernel(self.vars, {m: -c for m, c in self._terms.items()}, self._den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._require_same_table(other)
-        return Poly(self.vars, _product(self._terms, other._terms), self._den * other._den)
+        return Poly._from_kernel(self.vars, _product(self._terms, other._terms), self._den * other._den)
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
@@ -207,7 +223,7 @@ class Poly:
                 continue
             dm = mono[:index] + (e - 1,) + mono[index + 1 :]
             out[dm] = out.get(dm, 0) + coeff * e
-        return Poly(self.vars, out, self._den)
+        return Poly._from_kernel(self.vars, out, self._den)
 
     def eval_exact(self, point: Sequence[Scalar]) -> Fraction:
         """Evaluate at a rational point; exact (a ring homomorphism to Q)."""

@@ -144,7 +144,7 @@ def _finish(
     table = VarTable(tuple(names[i] for i in used))
 
     def compact(p: Terms, den: int = 1) -> Poly:
-        return Poly(table, {tuple(m[i] for i in used): a for m, a in p.items()}, den)
+        return Poly._from_kernel(table, {tuple(m[i] for i in used): a for m, a in p.items()}, den)
 
     return tuple(compact(g) for g in gens), compact(num, den)
 

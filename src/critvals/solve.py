@@ -176,12 +176,12 @@ def _eliminate_images(
     ext = VarTable(source.names + tuple(_fresh_name(name, source.names) for name in names))
     pins = (0,) * m
     sources = map(Poly.integer_terms, (*images, *generators))
-    lifted = [Poly(ext, {mono + pins: c for mono, c in t.items()}, d) for t, d in sources]
+    lifted = [Poly._from_kernel(ext, {mono + pins: c for mono, c in t.items()}, d) for t, d in sources]
     gens = lifted[m:] + [Poly.variable(ext, n + l) - lifted[l] for l in range(m)]
     gb = buchberger(Ideal(tuple(gens), eliminate=n), limits)
     image_table, image_vars = VarTable(names), set(range(n, n + m))
     pure = tuple(
-        Poly(image_table, {mono[n:]: c for mono, c in t.items()}, d)
+        Poly._from_kernel(image_table, {mono[n:]: c for mono, c in t.items()}, d)
         for t, d in (g.integer_terms() for g in gb.basis if g.variables_used() <= image_vars)
     )
     return pure, Diagnostics(ext.arity, len(gens), len(gb.basis))
@@ -322,9 +322,11 @@ def compute_kinf(
     subset at user bounds.  Real pipeline (shape.field = "real"): the real
     roots are candidates for the certifier, a superset of the attained
     real values among real numbers.  The result's `system` is f's BV
-    system at this shape, the one eliminated.
+    system at this shape, the one eliminated.  One wall-clock budget covers
+    the system build and the elimination.
     """
-    return _image_of_c0(build_system(f, shape, "BV"), limits)
+    with _one_budget(limits) as left:
+        return _image_of_c0(build_system(f, shape, "BV", left), left())
 
 
 def compute_k(
@@ -334,8 +336,10 @@ def compute_k(
 
     Constant arcs at critical points always satisfy the GBV equations, so
     K0(f) is contained in the output for every shape.  The result's
-    `system` is f's GBV system at this shape, the one eliminated."""
-    return _image_of_c0(build_system(f, shape, "GBV"), limits)
+    `system` is f's GBV system at this shape, the one eliminated.  One
+    wall-clock budget covers the system build and the elimination."""
+    with _one_budget(limits) as left:
+        return _image_of_c0(build_system(f, shape, "GBV", left), left())
 
 
 def compute_sF(
@@ -346,8 +350,10 @@ def compute_sF(
     Its variety contains the closure of the c0-image of the arc variety of
     the normalized AV system at the given shape; equality holds at
     sufficient bounds.  The result carries that system and the image
-    variables y1..ym its generators are over."""
-    system = build_av_system(F, shape)
-    names = tuple(f"y{l}" for l in range(1, len(system.c0) + 1))
-    generators, diagnostics = _eliminate_images(system.generators, system.c0, names, limits)
+    variables y1..ym its generators are over.  One wall-clock budget covers
+    the system build and the elimination."""
+    with _one_budget(limits) as left:
+        system = build_av_system(F, shape, left)
+        names = tuple(f"y{l}" for l in range(1, len(system.c0) + 1))
+        generators, diagnostics = _eliminate_images(system.generators, system.c0, names, left())
     return SFResult(generators, names, diagnostics, system)

@@ -30,7 +30,7 @@ only the t-powers a family reads are built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Callable, Iterator, Literal, Sequence
 
 from .arcs import ArcPowers, ArcShape, IntSeries
 from .poly import Poly
@@ -86,9 +86,12 @@ def normalization_poly(shape: ArcShape) -> Poly:
     return acc
 
 
-def build_system(f: Poly, shape: ArcShape, mode: Mode) -> EquationSystem:
+def build_system(
+    f: Poly, shape: ArcShape, mode: Mode, tick: Callable[[], object] = lambda: None
+) -> EquationSystem:
     """Arc-coefficient equations for the normalized (BV) or generalized
-    (GBV) variety of f."""
+    (GBV) variety of f.  `tick` is called once per term substituted; a
+    caller's deadline check goes there."""
     if mode not in ("BV", "GBV"):
         raise SystemError(f"mode must be BV or GBV, got {mode!r}")
     if f.vars.arity != shape.n:
@@ -99,10 +102,10 @@ def build_system(f: Poly, shape: ArcShape, mode: Mode) -> EquationSystem:
     if d <= 0:
         raise SystemError("constant polynomial has no critical-value structure")
     powers = ArcPowers(shape, d)
-    s_f, den_f = powers.series(f, 0)
+    s_f, den_f = powers.series(f, 0, tick)
     read = list(_read(powers, s_f, den_f, range(1, d * shape.D1 + 1), "c"))
     # t-powers down to -D1 feed the e-family's k >= 0 through x_i(t).
-    s_grads = [powers.series(f.partial_derivative(j), -shape.D1) for j in range(shape.n)]
+    s_grads = [powers.series(f.partial_derivative(j), -shape.D1, tick) for j in range(shape.n)]
     for i, (s, den) in enumerate(s_grads, start=1):
         read += _read(powers, s, den, range((d - 1) * shape.D1 + 1), "d", i)
     for i in range(1, shape.n + 1):
@@ -112,10 +115,13 @@ def build_system(f: Poly, shape: ArcShape, mode: Mode) -> EquationSystem:
     return _system(shape, read, [powers.coefficient(s_f, den_f, 0)], mode)
 
 
-def build_av_system(F: Sequence[Poly], shape: ArcShape) -> EquationSystem:
+def build_av_system(
+    F: Sequence[Poly], shape: ArcShape, tick: Callable[[], object] = lambda: None
+) -> EquationSystem:
     """Arc-coefficient equations for the non-properness variety of the map
     F: positive t-powers of every component vanish, plus normalization.
-    c0 carries one entry per component."""
+    c0 carries one entry per component.  `tick` is called once per term
+    substituted."""
     if not F:
         raise SystemError("empty map")
     for p in F:
@@ -126,7 +132,7 @@ def build_av_system(F: Sequence[Poly], shape: ArcShape) -> EquationSystem:
     powers = ArcPowers(shape, max(max(p.total_degree() for p in F), 0))
     read, c0 = [], []
     for l, p in enumerate(F, start=1):
-        s, den = powers.series(p, 0)
+        s, den = powers.series(p, 0, tick)
         read += _read(powers, s, den, range(1, max(p.total_degree(), 0) * shape.D1 + 1), "c", l)
         c0.append(powers.coefficient(s, den, 0))
     return _system(shape, read, c0, "AVmap")

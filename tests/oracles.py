@@ -39,6 +39,11 @@ reference for the early cycle stop in `univariate._newton`.  They read and
 build polynomials as ascending Fraction lists (`to_coefficients`,
 `from_coefficients`); the package keeps integer lists only.
 
+Normal form: `reference_normal_form` fully reduces a `Poly` modulo a
+basis with the kernel's `_Run.normal_form`, the exact remainder the
+Groebner tests check ideal membership and linearity with; the pipeline
+itself only reduces encoded term dicts.
+
 Minimal polynomial: `reference_minimal_polynomial` is the package's earlier
 Krylov loop, one full normal form of p * v_(k-1) per step, the reference
 for the column-combining loop of `critvals.groebner.minimal_polynomial`;
@@ -154,6 +159,23 @@ def k0_bivariate_oracle(f: Poly) -> tuple:
     if not pure:
         raise ValueError("oracle: elimination ideal is zero (infinite K0?)")
     return normalized_coeffs(pure[0], y)
+
+
+# ---- normal form reference ----
+
+
+def reference_normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
+    """Normal form of p modulo the basis, exactly: the remainder of full
+    reduction by the kernel's `_Run.normal_form`, zero iff p is in the
+    ideal."""
+    if p.is_zero():
+        return p
+    order = _order(p.vars.arity, gb.eliminate)
+    run = _Run(order, ResourceLimits())
+    work, scale = _encode_poly(p, order)
+    nf, s = run.normal_form(work, _reducers(gb, run))
+    scale *= s
+    return Poly(p.vars, {order.decode(m): c * scale.denominator for m, c in nf.items()}, scale.numerator)
 
 
 # ---- minimal polynomial reference ----

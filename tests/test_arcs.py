@@ -302,3 +302,41 @@ def test_truncated_series_and_coordinate_products(case, lo, data):
         assert powers.coefficient(s, den, k) == full.coefficient_at(k)
     for k in range(lo + shape.D1, xp.hi + 1):
         assert powers.coefficient(h, den, k) == xp.coefficient_at(k)
+
+
+@st.composite
+def truncation_cases(draw):
+    """p, a shape with D1 != D2 (either may be 0), and two floors lo over
+    p's full t-range and a step past either end."""
+    p, _ = draw(poly_and_shape(kinds=("constant", "general")))
+    D1, D2 = draw(
+        st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3)).filter(
+            lambda b: b[0] != b[1]
+        )
+    )
+    shape = ArcShape(n=p.vars.arity, D1=D1, D2=D2)
+    d = max(p.total_degree(), 0)
+    floors = st.integers(min_value=-d * D2 - 1, max_value=d * D1 + 1)
+    return p, shape, draw(floors), draw(floors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(truncation_cases())
+def test_truncated_powers_match_the_full_substitution(case):
+    # series(p, lo) keeps exactly the t^k >= lo of p(x(t)), and every power
+    # x_j(t)^e the kernel memoised on the way, at whatever floor, is the
+    # full power over k >= that floor; the second series may deepen them
+    p, shape, *floors = case
+    table = shape.var_table()
+    powers = ArcPowers(shape, max(p.total_degree(), 0))
+    want = reference_substitute(p, shape)
+    for lo in floors:
+        s, den = powers.series(p, lo)
+        assert min(s, default=lo) >= lo
+        for k in range(lo, max(p.total_degree(), 0) * shape.D1 + 1):
+            assert powers.coefficient(s, den, k) == want.get(k, Poly.zero(table))
+    for (j, e), (floor, power) in powers._powers.items():
+        full = reference_substitute(Poly(p.vars, {tuple(e if i == j else 0 for i in range(shape.n)): 1}), shape)
+        assert min(power, default=floor) >= floor
+        for k in range(floor, e * shape.D1 + 1):
+            assert powers.coefficient(power, 1, k) == full.get(k, Poly.zero(table))

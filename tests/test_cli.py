@@ -402,9 +402,9 @@ def test_real_run_builds_each_system_once_and_refines_each_root_once(capsys, mon
     built = []
     refined = []
 
-    def counting_build(f, shape, mode):
+    def counting_build(f, shape, mode, *tick):
         built.append(mode)
-        return real_build(f, shape, mode)
+        return real_build(f, shape, mode, *tick)
 
     def counting_refine(p, interval, width):
         refined.append(interval)
@@ -433,9 +433,9 @@ def test_sf_run_builds_the_map_system_once(capsys, monkeypatch):
 
     built = []
 
-    def counting_build(F, shape):
+    def counting_build(F, shape, *tick):
         built.append(len(F))
-        return real_build(F, shape)
+        return real_build(F, shape, *tick)
 
     real_build = critvals.systems.build_av_system
     monkeypatch.setattr(critvals.solve, "build_av_system", counting_build)

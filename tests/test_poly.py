@@ -271,3 +271,29 @@ def test_one_canonical_form_per_polynomial(p, k):
     for bad in (0, -den):
         with pytest.raises(PolyError):
             Poly(p.vars, terms, bad)
+
+
+@settings(max_examples=80)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3)),
+        st.integers(min_value=-12, max_value=12),
+        max_size=6,
+    ),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from([(1,), (1, 2, 0), (2, -1)]),
+)
+def test_kernel_constructor_matches_checked_constructor(terms, den, shared, bad):
+    # integer terms as a kernel builds them: zeros left in, and a factor
+    # shared by every numerator and the denominator
+    terms = {m: c * shared for m, c in terms.items()}
+    den *= shared
+    checked = Poly(XY, terms, den)
+    kernel = Poly._from_kernel(XY, dict(terms), den)
+    assert kernel == checked and hash(kernel) == hash(checked)
+    assert kernel.integer_terms() == checked.integer_terms()
+    assert serialize_poly(kernel) == serialize_poly(checked)
+    # untrusted input still goes through every check
+    with pytest.raises(PolyError, match=re.escape(str(bad))):
+        Poly(XY, {**terms, bad: 1}, den)

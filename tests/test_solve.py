@@ -424,6 +424,27 @@ class TestPresolve:
             )
         assert str(err.value) == "wall_clock_budget: exceeded 1e-06s"
 
+    @pytest.mark.parametrize("compute", [compute_kinf, compute_k])
+    def test_deadline_covers_the_system_build(self, compute, monkeypatch):
+        # the budget starts before substitution, so the default-shape
+        # quintic's build trips it before presolve is reached
+        def unreachable(*args):
+            raise AssertionError("presolve reached")
+
+        monkeypatch.setattr(critvals.solve, "presolve", unreachable)
+        with pytest.raises(LimitExceeded) as err:
+            compute(P("x*(x^2+1)^2"), ArcShape(n=2, D1=5, D2=21), ResourceLimits(wall_clock_budget=1e-6))
+        assert (err.value.which, err.value.detail) == ("wall_clock_budget", "exceeded 1e-06s")
+
+    def test_deadline_covers_the_map_system_build(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("elimination reached")
+
+        monkeypatch.setattr(critvals.solve, "_eliminate_images", unreachable)
+        with pytest.raises(LimitExceeded) as err:
+            compute_sF([P("x"), P("x*y")], ArcShape(n=2, D1=5, D2=21), ResourceLimits(wall_clock_budget=1e-6))
+        assert (err.value.which, err.value.detail) == ("wall_clock_budget", "exceeded 1e-06s")
+
 
 MONOMIALS = [(i, j) for i in range(4) for j in range(4) if 0 < i + j <= 3]
 

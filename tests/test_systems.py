@@ -257,3 +257,17 @@ def test_every_family_matches_the_reference_in_order(f_terms, g_terms, D1, D2, f
         expected += reference_family(p, shape, range(1, max(p.total_degree(), 0) * D1 + 1), "c", l)
     assert list(zip(av.provenance, av.generators)) == expected + norm
     assert av.c0 == tuple(reference_substitute(p, shape).get(0, Poly.zero(table)) for p in (f, g))
+
+
+def test_tick_once_per_substituted_term():
+    # the builders substitute f and its partials (the e-family reuses the
+    # partials' series), or each map component; a deadline check rides on
+    # every term
+    f, shape, ticks = P("x + x^2*y + 3"), ArcShape(n=2, D1=1, D2=1), []
+    for mode in ("BV", "GBV"):
+        ticks.clear()
+        build_system(f, shape, mode, lambda: ticks.append(1))
+        assert len(ticks) == f.num_terms() + sum(f.partial_derivative(j).num_terms() for j in range(2))
+    ticks.clear()
+    build_av_system([P("x"), P("x*y + y")], shape, lambda: ticks.append(1))
+    assert len(ticks) == 3
